@@ -1,51 +1,15 @@
-"""Per-figure/table experiment harnesses (see DESIGN.md §4 for the index)."""
+"""Per-figure/table experiment harnesses.
 
-from repro.experiments import (
-    ablations,
-    bounds_check,
-    cluster,
-    coscheduling,
-    dear,
-    drift,
-    elastic,
-    extensions,
-    extra,
-    faults,
-    figure2,
-    figure4,
-    figure9,
-    figure10_12,
-    figure13,
-    figure14,
-    recovery,
-    report,
-    stealing,
-    table1,
-)
+Each reproduce target is one entry of
+:data:`repro.experiments.report.EXPERIMENTS`; the figure modules are
+imported only when their entry runs, so importing this package stays
+cheap.
+"""
+
 from repro.experiments.common import PAPER_SETUPS, format_table, setup_cluster
 from repro.experiments.knobs import TUNED_KNOBS, tuned_knobs
 
 __all__ = [
-    "figure2",
-    "figure4",
-    "figure9",
-    "figure10_12",
-    "figure13",
-    "figure14",
-    "table1",
-    "report",
-    "extra",
-    "extensions",
-    "bounds_check",
-    "cluster",
-    "coscheduling",
-    "dear",
-    "drift",
-    "elastic",
-    "ablations",
-    "faults",
-    "recovery",
-    "stealing",
     "tuned_knobs",
     "TUNED_KNOBS",
     "PAPER_SETUPS",

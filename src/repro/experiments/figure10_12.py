@@ -78,14 +78,14 @@ def run_model(
 
     Every point of the grid is an independent trial, so the whole
     figure is expanded into one flat trial list and executed through
-    :func:`repro.experiments.parallel.run_trials` — serially by
+    :func:`repro.training.trials.run_trials` — serially by
     default, over a process pool with ``workers``, memoised with
     ``cache_dir`` (both fall back to the active parallel session).
     The assembled numbers are identical on every path.
     """
     from dataclasses import replace
 
-    from repro.experiments import parallel as par
+    from repro.training import trials as par
     from repro.experiments.common import bytescheduler_candidates
 
     if workers is None:

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.experiments.knobs import tuned_knobs
 from repro.training import SchedulerSpec, run_experiment
 from repro.training.cluster import ClusterSpec
-from repro.tuning import GaussianProcess
+from repro.tuning import GaussianProcess, expected_improvement
 from repro.units import MB
 
 __all__ = ["Figure9Result", "run", "format_result"]
@@ -86,9 +85,7 @@ def run(
             mean, std = gp.predict(candidates)
             best = max(s for _, s in observed)
             spread = float(np.std([s for _, s in observed])) or 1.0
-            improvement = mean - best - xi * spread
-            z = improvement / std
-            ei = improvement * norm.cdf(z) + std * norm.pdf(z)
+            ei = expected_improvement(mean - best - xi * spread, std)
             unit = float(candidates[int(np.argmax(ei))][0])
         credit = from_unit(unit)
         observed.append((credit, profile(credit)))

@@ -172,7 +172,7 @@ def bench_claim_protocol(cycles: int = 300) -> Dict[str, Any]:
     import tempfile as _tempfile
     from pathlib import Path
 
-    from repro.experiments.stealing import ClaimBoard
+    from repro.training.stealing import ClaimBoard
 
     root = Path(_tempfile.mkdtemp(prefix="repro-claims-"))
     try:
@@ -411,7 +411,7 @@ def bench_sweep(
     setups, all three lines per subplot).
 
     With ``workers``/``cache_dir`` the sweep routes through
-    :mod:`repro.experiments.parallel`; the serial path is what the
+    :mod:`repro.training.trials`; the serial path is what the
     pre-parallel harness paid per figure.
     """
     from repro.experiments import figure10_12

@@ -25,7 +25,10 @@ from repro.net import Fabric, Transport
 from repro.sim import Environment, Trace
 from repro.units import GB, KB, MB, MS, US, gbps
 
-__all__ = ["ClusterSpec", "SchedulerSpec", "BuiltCluster"]
+__all__ = ["ClusterSpec", "SchedulerSpec", "BuiltCluster", "SCHEDULER_KINDS"]
+
+#: Every ``SchedulerSpec.kind`` (also the CLI's ``--scheduler`` choices).
+SCHEDULER_KINDS = ("fifo", "p3", "bytescheduler", "fusion", "dear")
 
 #: Communication-stack models per (architecture, transport).
 #:
@@ -317,9 +320,9 @@ class SchedulerSpec:
     partition_overrides: Optional[Tuple[Tuple[int, float], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("fifo", "p3", "bytescheduler", "fusion", "dear"):
+        if self.kind not in SCHEDULER_KINDS:
             raise ConfigError(
-                "scheduler kind must be fifo/p3/bytescheduler/fusion/dear, "
+                f"scheduler kind must be {'/'.join(SCHEDULER_KINDS)}, "
                 f"got {self.kind!r}"
             )
         if self.dear_fusion_bytes is not None and self.dear_fusion_bytes <= 0:

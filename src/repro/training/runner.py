@@ -43,7 +43,7 @@ def run_experiment(
     :class:`~repro.obs.RunReport` in ``result.report``.
 
     ``cache`` memoises the run on disk (see
-    :mod:`repro.experiments.parallel`): a :class:`ResultCache`, a cache
+    :mod:`repro.training.trials`): a :class:`ResultCache`, a cache
     directory path, ``None`` to use the session cache when one is
     active (the default), or ``False`` to force a fresh simulation.
     Only plain measurement runs are cacheable — requesting traces,
@@ -56,7 +56,7 @@ def run_experiment(
         and not report
     )
     if plain and cache is not False:
-        from repro.experiments.parallel import (
+        from repro.training.trials import (
             ResultCache,
             TrialSpec,
             active_cache,

@@ -10,6 +10,7 @@ from repro.tuning.searchers import (
     RandomSearch,
     Searcher,
     SGDMomentumSearch,
+    expected_improvement,
     make_searcher,
 )
 from repro.tuning.space import Point, SearchSpace
@@ -23,6 +24,7 @@ __all__ = [
     "GridSearch",
     "RandomSearch",
     "SGDMomentumSearch",
+    "expected_improvement",
     "make_searcher",
     "AdaptiveTuner",
     "AdaptiveTuningResult",

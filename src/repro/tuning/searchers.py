@@ -19,7 +19,6 @@ import random
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.errors import TuningError
 from repro.tuning.gp import GaussianProcess
@@ -31,8 +30,33 @@ __all__ = [
     "GridSearch",
     "RandomSearch",
     "SGDMomentumSearch",
+    "expected_improvement",
     "make_searcher",
 ]
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _ndtr(z: float) -> float:
+    """Standard normal CDF with Cephes ``ndtr``'s branch split: erf near
+    zero, erfc in the tails so they keep their relative precision."""
+    x = z * _SQRT_HALF
+    if abs(x) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(x)
+    tail = 0.5 * math.erfc(abs(x))
+    return 1.0 - tail if x > 0 else tail
+
+
+_norm_cdf = np.vectorize(_ndtr, otypes=[float])
+
+
+def expected_improvement(improvement: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """EI of candidates whose posterior beats the incumbent by
+    ``improvement`` (already net of any exploration margin) with
+    posterior standard deviation ``std``."""
+    z = improvement / std
+    pdf = np.exp(-z * z / 2.0) / np.sqrt(2 * np.pi)
+    return improvement * _norm_cdf(z) + std * pdf
 
 
 class Searcher(abc.ABC):
@@ -115,9 +139,7 @@ class BayesianOptimizer(Searcher):
         mean, std = gp.predict(units)
         best = max(speed for _, speed in self.history)
         spread = float(np.std([speed for _, speed in self.history])) or 1.0
-        improvement = mean - best - self.xi * spread
-        z = improvement / std
-        return improvement * norm.cdf(z) + std * norm.pdf(z)
+        return expected_improvement(mean - best - self.xi * spread, std)
 
     def posterior(self, units: np.ndarray):
         """(mean, std) of the current surrogate — used by Figure 9."""

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments import parallel as par
+from repro.training import trials as par
 from repro.training import ClusterSpec, SchedulerSpec, run_experiment
 
 CLUSTER = ClusterSpec(machines=2, gpus_per_machine=2)

@@ -14,14 +14,14 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigError
-from repro.experiments.parallel import (
+from repro.training.trials import (
     ResultCache,
     TrialSpec,
     run_trials,
     session,
     trial_key,
 )
-from repro.experiments.stealing import (
+from repro.training.stealing import (
     ClaimBoard,
     ShardSpec,
     _Heartbeat,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import TuningError
@@ -13,8 +14,10 @@ from repro.tuning import (
     Searcher,
     SearchSpace,
     SGDMomentumSearch,
+    expected_improvement,
     make_searcher,
 )
+from repro.tuning.searchers import _norm_cdf
 from repro.units import MB
 
 SPACE = SearchSpace(
@@ -37,6 +40,19 @@ def run_searcher(searcher, trials, objective=quadratic_objective):
         point = searcher.suggest()
         searcher.observe(point, objective(*point))
     return searcher.best()
+
+
+def test_expected_improvement_normal_values():
+    assert _norm_cdf(0.0) == 0.5
+    z = np.concatenate([np.linspace(-12.0, 12.0, 2401), [0.7071, 0.7072, 38.0]])
+    assert np.all(np.abs(_norm_cdf(z) + _norm_cdf(-z) - 1.0) <= np.spacing(1.0))
+    # EI at zero improvement is std * pdf(0).
+    assert expected_improvement(np.array([0.0]), np.array([1.0]))[0] == (
+        1.0 / math.sqrt(2 * math.pi)
+    )
+    # A sure improvement is worth itself; a hopeless one is worth ~0.
+    assert expected_improvement(np.array([50.0]), np.array([1.0]))[0] == 50.0
+    assert expected_improvement(np.array([-50.0]), np.array([1.0]))[0] == 0.0
 
 
 def test_grid_visits_every_point_once():
