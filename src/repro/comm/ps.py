@@ -405,7 +405,7 @@ class PSBackend(CommBackend):
         if state is not None:
             state.updated = True
 
-        def _send_pulls(_evt: Event = None) -> None:
+        def _send_pulls(_update: Optional[Message] = None) -> None:
             if server in self._down:
                 return  # the server died mid-update; recovery re-drives
             for worker in pullers:
@@ -417,7 +417,7 @@ class PSBackend(CommBackend):
 
         if run_update:
             update = Message(server, server, chunk.size, kind="update", payload=chunk)
-            self._update_pipes[server].transmit(update).callbacks.append(_send_pulls)
+            self._update_pipes[server].transmit(update, _send_pulls)
         else:
             _send_pulls()
 

@@ -7,23 +7,19 @@ enforced above the link, by the scheduler, before enqueueing.
 
 Implementation notes: because service is strict FIFO at a fixed rate, a
 link does not need a simulated server process; it keeps a ``busy_until``
-horizon and computes each message's completion time at enqueue.  On top
-of that the completions themselves are **batched**: completion times on
-a serial link never decrease, so the link keeps its own completion FIFO
-and each wake-up drains *every* completion due at that instant in one
-callback — equal-end frames coalesce, and callback-style consumers (the
-fabric's internal hops) ride a bare deferred tuple instead of a
-per-message :class:`Timeout` event, so the old storm of Event
-allocations (object + callbacks list + succeed machinery per hop) is
-gone.  Each frame still arms its own wake-up, deliberately: a
-single armed wake-up per link was built and benchmarked, but one kernel
-entry serving many frames occupies a *different same-instant tie-break
-position* (its sequence number is the head's, not each frame's) and
-measurably perturbed trajectories — simulated iteration times shifted
-by whole transfer slots.  Per-frame wake-ups keep every completion at
-the exact tie-break position the classic API gave it; wake-ups for
-already-drained frames find nothing due and fall through.  The
-Event-returning API is unchanged for everyone else.
+horizon and computes each message's completion time at enqueue.  The
+completions themselves are **batched**: completion times on a serial
+link never decrease, so the link keeps its own completion FIFO and each
+wake-up drains *every* completion due at that instant in one callback.
+Equal-end frames coalesce, and the wake-up is a bare deferred tuple
+rather than a per-message :class:`~repro.sim.Timeout` event.  Each
+frame still arms its own wake-up, deliberately: one kernel entry
+serving many frames would occupy a *different same-instant tie-break
+position* (its sequence number is the head's, not each frame's), which
+measurably perturbs trajectories.  Per-frame wake-ups keep every
+completion at the tie-break position a per-message timeout would have
+had; wake-ups for already-drained frames find nothing due and fall
+through.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional, Sequence, Tuple
 
-from repro.sim import Environment, Event, Trace
+from repro.sim import Environment, Trace
 from repro.net.message import Message
 from repro.net.transport import Transport
 
@@ -144,8 +140,8 @@ class Link:
         ``busy_until``, so the FIFO head is always the earliest
         completion and :meth:`_drain` can pop strictly from the front.
         The wake-up is armed *here*, at enqueue, so it occupies the same
-        same-instant tie-break position the classic per-message timeout
-        did — see the module docstring for why that matters.
+        same-instant tie-break position a per-message timeout would —
+        see the module docstring for why that matters.
         """
         self._fifo.append((end, callback, message))
         self.env.defer(self._drain, None, end - self.env._now)
@@ -165,18 +161,10 @@ class Link:
             callback(message)
 
     def transmit(
-        self,
-        message: Message,
-        callback: Optional[Callable[[Message], None]] = None,
-    ) -> Optional[Event]:
-        """Enqueue ``message``; completion is when its last byte has
-        left this link.
-
-        Without ``callback`` the completion is a returned event (the
-        classic API).  With one, the completion rides the link's
-        batched wake-up — no per-message event or kernel entry — and
-        ``callback(message)`` fires at the exact same simulated time.
-        """
+        self, message: Message, callback: Callable[[Message], None]
+    ) -> None:
+        """Enqueue ``message``; ``callback(message)`` fires when its last
+        byte has left this link."""
         env = self.env
         now = env._now
         message.enqueued_at = now
@@ -198,22 +186,19 @@ class Link:
                 size=message.size,
                 kind=message.kind,
             )
-        if callback is None:
-            return env.timeout(end - now + extra, value=message)
         if extra > 0.0:
             # A reorder fate may legitimately complete after later
             # messages, so it cannot ride the in-order FIFO.
             env.defer(callback, message, end - now + extra)
         else:
             self._enqueue(end, callback, message)
-        return None
 
     def transmit_cut_through(
         self,
         message: Message,
         available_at: float,
-        callback: Optional[Callable[[Message], None]] = None,
-    ) -> Optional[Event]:
+        callback: Callable[[Message], None],
+    ) -> None:
         """Enqueue a message whose bytes *streamed in* while an upstream
         link serialised them (virtual cut-through).
 
@@ -221,8 +206,8 @@ class Link:
         If this link is idle it finishes almost immediately after that
         (it was receiving and forwarding concurrently); if it is
         backlogged, the message still occupies a full service slot:
-        ``end = max(available_at, busy_until + service)``.  ``callback``
-        selects the batched completion path, as on :meth:`transmit`.
+        ``end = max(available_at, busy_until + service)``, at which
+        point ``callback(message)`` fires, as on :meth:`transmit`.
         """
         env = self.env
         now = env._now
@@ -252,8 +237,6 @@ class Link:
                 size=message.size,
                 kind=message.kind,
             )
-        if callback is None:
-            return env.timeout(max(0.0, end - now) + extra, value=message)
         if extra > 0.0:
             env.defer(callback, message, max(0.0, end - now) + extra)
         else:
@@ -261,7 +244,6 @@ class Link:
             # link) means every earlier completion has drained, so
             # clamping to now keeps the FIFO ends non-decreasing.
             self._enqueue(end if end > now else now, callback, message)
-        return None
 
     def reset_counters(self) -> None:
         """Zero the byte/message/busy counters (e.g. after warm-up)."""

@@ -8,11 +8,11 @@ their time in:
 * ``event_throughput`` — the discrete-event kernel alone: processes
   ping-ponging timeouts, no network, no scheduler.
 * ``event_throughput_dense`` — the same kernel under a *dense* pending
-  population (tens of thousands of live timers), the regime where the
-  calendar queue's O(1) buckets beat the heap's O(log n) sifts.
+  population (tens of thousands of live timers), where each heap push
+  and pop pays O(log n) sifts.
 * ``link_burst`` — back-to-back frames through one FIFO ``Link`` on
-  the batched callback completion path (the per-hop cost every fabric
-  transfer pays, without the Event allocation of the classic API).
+  the batched completion path (the per-hop cost every fabric transfer
+  pays).
 * ``scheduler_queue`` — ByteSchedulerCore enqueue → schedule → credit
   return against a loopback backend, no training job around it.
 * ``end_to_end`` — one complete ``run_experiment`` (the unit every
@@ -92,7 +92,7 @@ def bench_event_throughput_dense(
     Tens of thousands of concurrent timers keep that many entries live
     in the kernel's queue at once — the regime a big fabric sweep or a
     cluster-scale sim produces, and the one where heap sifts pay
-    O(log n) per event while calendar buckets stay O(1).
+    O(log n) per event.
     """
     env = Environment()
     total_events = processes * steps
@@ -121,8 +121,8 @@ def bench_link_burst(
 ) -> Dict[str, Any]:
     """Frames/second through one FIFO link's batched completion path.
 
-    Each round fires a burst of back-to-back frames at an idle link via
-    the callback API — the exact path every fabric hop rides — and runs
+    Each round fires a burst of back-to-back frames at an idle link —
+    the exact path every fabric hop rides — and runs
     the kernel until the burst drains.  Measures enqueue + batched
     wake-up + completion dispatch, with no Event allocated per frame.
     """

@@ -1,11 +1,10 @@
-"""Batched link completions: the callback path vs the classic Event path.
+"""Batched link completions against the closed-form FIFO schedule.
 
-``transmit(..., callback=...)`` rides the link's completion FIFO and a
-bare deferred wake-up instead of allocating a Timeout event per
-message.  The contract: callbacks fire at exactly the same simulated
-times, in exactly the same order, as the events the classic API would
-have returned — batching is an allocation optimisation, not a semantic
-change.
+``transmit`` rides the link's completion FIFO and a bare deferred
+wake-up instead of allocating a Timeout event per message.  The
+contract: callbacks fire at exactly the times a strict FIFO server at
+line rate gives, in enqueue order — batching is an allocation
+optimisation, not a semantic change.
 """
 
 import pytest
@@ -32,33 +31,29 @@ offsets = st.lists(
 
 @given(sizes=sizes, offsets=offsets, cut=st.lists(st.booleans(), min_size=15, max_size=15))
 @settings(max_examples=60, deadline=None)
-def test_callback_path_matches_event_path(sizes, offsets, cut):
-    def run(use_callback):
-        env = Environment()
-        link = make_link(env)
-        completions = []
-        for i, (size, offset, use_cut) in enumerate(zip(sizes, offsets, cut)):
-            message = Message("a", "b", size)
-            if use_callback:
-                record = lambda msg, i=i: completions.append((env.now, i))
-                if use_cut:
-                    link.transmit_cut_through(
-                        message, available_at=offset, callback=record
-                    )
-                else:
-                    link.transmit(message, callback=record)
-            else:
-                if use_cut:
-                    evt = link.transmit_cut_through(message, available_at=offset)
-                else:
-                    evt = link.transmit(message)
-                evt.callbacks.append(
-                    lambda e, i=i: completions.append((env.now, i))
-                )
-        env.run()
-        return completions, link.busy_time, link.bytes_sent
-
-    assert run(True) == run(False)
+def test_completions_follow_the_closed_form_fifo_schedule(sizes, offsets, cut):
+    env = Environment()
+    link = make_link(env)
+    completions = []
+    expected = []
+    busy_until = env.now
+    for i, (size, offset, use_cut) in enumerate(zip(sizes, offsets, cut)):
+        record = lambda _message, i=i: completions.append((env.now, i))
+        service = size / BANDWIDTH
+        if use_cut:
+            link.transmit_cut_through(
+                Message("a", "b", size), available_at=offset, callback=record
+            )
+            end = max(offset, max(busy_until, offset - service) + service)
+        else:
+            link.transmit(Message("a", "b", size), callback=record)
+            end = max(env.now, busy_until) + service
+        busy_until = end
+        expected.append((end, i))
+    env.run()
+    assert completions == expected
+    assert link.busy_time == pytest.approx(sum(size / BANDWIDTH for size in sizes))
+    assert link.bytes_sent == sum(sizes)
 
 
 def test_equal_end_completions_coalesce_in_fifo_order():

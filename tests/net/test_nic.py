@@ -27,8 +27,8 @@ def test_duplex_directions_are_independent():
     nic = DuplexNIC(env, "a", BANDWIDTH, IDEAL)
     done = []
     for _ in range(3):
-        collect(nic.uplink.transmit(Message("a", "b", 100.0)), done)
-        collect(nic.downlink.transmit(Message("b", "a", 100.0)), done)
+        nic.uplink.transmit(Message("a", "b", 100.0), done.append)
+        nic.downlink.transmit(Message("b", "a", 100.0), done.append)
     env.run()
     # Three 1s messages per direction, concurrently: 3s total, not 6s.
     assert env.now == pytest.approx(3.0)

@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event kernel (Environment/Event/Process)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import Interrupt, SimulationError
 from repro.sim import Environment
@@ -439,3 +443,38 @@ def test_defer_with_delay_and_priority():
     env.defer(lambda _: log.append(("early", env.now)), delay=1.0)
     env.run()
     assert log == [("early", 1.0), ("late", 2.0)]
+
+
+def test_queue_kind_is_heap():
+    assert Environment().queue_kind == "heap"
+
+
+def test_infinite_delay_does_not_block_run_until():
+    env = Environment()
+    fired = []
+    env.timeout(math.inf).callbacks.append(lambda _evt: fired.append("inf"))
+    env.timeout(1.0).callbacks.append(lambda _evt: fired.append("finite"))
+    env.run(until=10.0)
+    assert fired == ["finite"]
+    assert env.now == 10.0
+
+
+@given(
+    delays=st.lists(
+        st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+        min_size=1,
+        max_size=200,
+    )
+)
+@settings(max_examples=30, deadline=None)
+def test_wide_dynamic_range_preserves_order(delays):
+    # Nine decades of delay magnitude, with repeats: timers fire in
+    # time order, ties broken by scheduling order.
+    env = Environment()
+    fired = []
+    for i, delay in enumerate(delays):
+        env.timeout(delay).callbacks.append(
+            lambda _evt, i=i: fired.append((env.now, i))
+        )
+    env.run()
+    assert fired == sorted((delay, i) for i, delay in enumerate(delays))
