@@ -6,18 +6,14 @@
   abstraction (§3.2).
 * :class:`ByteSchedulerAdapter` / :class:`VanillaAdapter` — framework
   plugins: Dependency Proxies and barrier crossing (§3.3–3.4).
-* :func:`fifo_scheduler` / :func:`p3_scheduler` / :func:`bytescheduler`
-  — the evaluated scheduler configurations.
+* :class:`FusionCore` / :class:`DeARCore` — Horovod-style tensor fusion
+  and DeAR's decoupled all-reduce phases.
+
+The evaluated scheduler kinds (FIFO, P3, ByteScheduler, fusion, DeAR)
+are configurations of these cores, declared once in
+:data:`repro.training.cluster.SCHEDULERS`.
 """
 
-from repro.core.baselines import (
-    DEFAULT_BASELINE_PARTITION,
-    P3_PARTITION,
-    bytescheduler,
-    dear_scheduler,
-    fifo_scheduler,
-    p3_scheduler,
-)
 from repro.core.commtask import CommTask, SubCommTask, TaskState
 from repro.core.dear import DeARCore
 from repro.core.fusion import FusionCore
@@ -48,10 +44,4 @@ __all__ = [
     "ByteSchedulerAdapter",
     "ReadyCountdown",
     "make_adapter",
-    "fifo_scheduler",
-    "p3_scheduler",
-    "bytescheduler",
-    "dear_scheduler",
-    "DEFAULT_BASELINE_PARTITION",
-    "P3_PARTITION",
 ]

@@ -28,7 +28,10 @@ from repro.core.commtask import SubCommTask, TaskState
 from repro.core.scheduler import PRIORITY_FIFO, ByteSchedulerCore
 from repro.units import MB, MS
 
-__all__ = ["FusionCore"]
+__all__ = ["FusionCore", "DEFAULT_FUSION_BYTES"]
+
+#: Horovod's default fusion-buffer size.
+DEFAULT_FUSION_BYTES = 64 * MB
 
 
 class FusionCore(ByteSchedulerCore):
@@ -38,7 +41,7 @@ class FusionCore(ByteSchedulerCore):
         self,
         env: Environment,
         backend: CommBackend,
-        fusion_bytes: float = 64 * MB,
+        fusion_bytes: float = DEFAULT_FUSION_BYTES,
         cycle_time: float = 5 * MS,
         name: str = "fusion",
     ) -> None:

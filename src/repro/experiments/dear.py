@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.core.fusion import DEFAULT_FUSION_BYTES
 from repro.experiments.common import format_table, setup_cluster
 from repro.experiments.knobs import tuned_knobs
 from repro.training import SchedulerSpec, run_experiment
@@ -72,7 +73,7 @@ def _scheduler_spec(kind: str, model: str, machines: int, transport: str) -> Sch
         )
     if kind == "dear+fusion":
         # Reuse the fusion-buffer size as the reduce-scatter batch cap.
-        return SchedulerSpec(kind="dear", dear_fusion_bytes=SchedulerSpec().fusion_bytes)
+        return SchedulerSpec(kind="dear", dear_fusion_bytes=DEFAULT_FUSION_BYTES)
     return SchedulerSpec(kind=kind)
 
 

@@ -5,13 +5,14 @@ matrix — framework × gradient-sync architecture × transport × scale —
 and knows how to build the simulated substrate (fabric + backend) for
 it.  A :class:`SchedulerSpec` captures one *line* in the figures:
 baseline FIFO, P3, or ByteScheduler with explicit knobs.
+:data:`SCHEDULERS` declares each scheduler kind's policy once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.comm import (
     CommBackend,
@@ -20,15 +21,26 @@ from repro.comm import (
     RetryPolicy,
     make_sharding,
 )
+from repro.core import (
+    PRIORITY_FIFO,
+    PRIORITY_LAYER,
+    ByteSchedulerCore,
+    DeARCore,
+    FusionCore,
+)
 from repro.errors import ConfigError
 from repro.net import Fabric, Transport
 from repro.sim import Environment, Trace
 from repro.units import GB, KB, MB, MS, US, gbps
 
-__all__ = ["ClusterSpec", "SchedulerSpec", "BuiltCluster", "SCHEDULER_KINDS"]
-
-#: Every ``SchedulerSpec.kind`` (also the CLI's ``--scheduler`` choices).
-SCHEDULER_KINDS = ("fifo", "p3", "bytescheduler", "fusion", "dear")
+__all__ = [
+    "ClusterSpec",
+    "SchedulerSpec",
+    "BuiltCluster",
+    "SchedulerKind",
+    "SCHEDULERS",
+    "SCHEDULER_KINDS",
+]
 
 #: Communication-stack models per (architecture, transport).
 #:
@@ -294,23 +306,149 @@ class ClusterSpec:
         return BuiltCluster(backend=backend, workers=workers, fabric=fabric)
 
 
+_PARTITION_KNOBS = ("partition_bytes", "credit_bytes", "partition_overrides")
+
+
+@dataclass(frozen=True)
+class SchedulerKind:
+    """One scheduler kind: its policy over the shared Core mechanism.
+
+    FIFO, P3 and ByteScheduler are one :class:`ByteSchedulerCore` that
+    differs only in priority order, partition and credit (§3-4); tensor
+    fusion and DeAR bring their own core class with fixed policy.
+    """
+
+    #: Builds the kind's core: ``core(env, backend, spec, name,
+    #: partition, credit)``.
+    core: Callable[..., ByteSchedulerCore]
+    #: Order the core serves ready partitions in.
+    priority: str
+    #: True when the kind needs per-layer forward gates (the
+    #: ByteScheduler adapter): P3, ByteScheduler and DeAR, whose
+    #: deferred all-gather must block the *next* iteration's forward.
+    scheduled: bool
+    #: Gradient-sync architectures the kind runs on.
+    archs: Tuple[str, ...]
+    #: The ``SchedulerSpec`` knob fields a spec of this kind may set.
+    knobs: Tuple[str, ...]
+    #: Whether the online and adaptive tuners may drive its knobs.
+    tunable: bool
+    #: Default partition for ``(arch, largest tensor bytes, servers)``;
+    #: None moves whole tensors.
+    partition: Callable[[str, Optional[float], int], Optional[float]] = (
+        lambda arch, largest, servers: None
+    )
+    #: Default credit for the resolved partition.
+    credit: Callable[[Optional[float]], float] = lambda partition: math.inf
+
+
+def _partitioning_core(env, backend, spec, name, partition, credit):
+    return ByteSchedulerCore(
+        env,
+        backend,
+        partition_bytes=partition,
+        credit_bytes=credit,
+        priority_mode=spec.row.priority,
+        name=name,
+        partition_overrides=dict(spec.partition_overrides or ()),
+    )
+
+
+def _vanilla_partition(arch, largest, servers):
+    """The vanilla PS baseline reproduces MXNet's big-array splitting:
+    tensors are sliced at per-server-slice granularity (one key per
+    server), so a 411 MB tensor on 8 servers moves as 51 MB messages —
+    which is why the baseline's duplex pipelining is so coarse.
+    Vanilla Horovod/NCCL reduces whole tensors."""
+    if arch == "allreduce":
+        return None
+    if largest and servers:
+        return max(largest / servers, float(4 * MB))
+    return float(4 * MB)
+
+
+#: Every ``SchedulerSpec.kind``, declared once.
+SCHEDULERS = {
+    # The vanilla framework: arrival order, no in-flight limit.
+    "fifo": SchedulerKind(
+        core=_partitioning_core,
+        priority=PRIORITY_FIFO,
+        scheduled=False,
+        archs=("ps", "allreduce"),
+        knobs=_PARTITION_KNOBS,
+        tunable=False,
+        partition=_vanilla_partition,
+    ),
+    # P3 (Jayarajan et al.): layer priority over its published 160 KB
+    # partition (§2.3).  P3 stop-and-waits at the scheduler, but
+    # ps-lite's ZMQ sender keeps its pipe non-empty (a couple of
+    # messages buffered below the scheduler), so ~three partitions are
+    # effectively in flight.
+    "p3": SchedulerKind(
+        core=_partitioning_core,
+        priority=PRIORITY_LAYER,
+        scheduled=True,
+        archs=("ps", "allreduce"),
+        knobs=_PARTITION_KNOBS,
+        tunable=True,
+        partition=lambda arch, largest, servers: 160 * KB,
+        credit=lambda partition: 3 * 160 * KB,
+    ),
+    # The paper's scheduler (Algorithm 1).
+    "bytescheduler": SchedulerKind(
+        core=_partitioning_core,
+        priority=PRIORITY_LAYER,
+        scheduled=True,
+        archs=("ps", "allreduce"),
+        knobs=_PARTITION_KNOBS,
+        tunable=True,
+        partition=lambda arch, largest, servers: 4 * MB,
+        credit=lambda partition: 4 * partition,
+    ),
+    # Horovod-style tensor fusion: merges tensors instead of splitting.
+    "fusion": SchedulerKind(
+        core=lambda env, backend, spec, name, partition, credit: FusionCore(
+            env, backend
+        ),
+        priority=PRIORITY_FIFO,
+        scheduled=False,
+        archs=("allreduce",),
+        knobs=(),
+        tunable=False,
+    ),
+    # DeAR (arXiv 2302.12445): decoupled reduce-scatter / all-gather,
+    # no partition or credit knob; optionally batches reduce-scatters.
+    "dear": SchedulerKind(
+        core=lambda env, backend, spec, name, partition, credit: DeARCore(
+            env, backend, fusion_bytes=spec.dear_fusion_bytes
+        ),
+        priority=PRIORITY_FIFO,
+        scheduled=True,
+        archs=("allreduce",),
+        knobs=("dear_fusion_bytes",),
+        tunable=False,
+    ),
+}
+
+#: The kind names (also the CLI's ``--scheduler`` choices).
+SCHEDULER_KINDS = tuple(SCHEDULERS)
+
+
 @dataclass(frozen=True)
 class SchedulerSpec:
     """One scheduling policy with its knob values.
 
-    ``kind`` is 'fifo' (vanilla framework), 'p3' (Jayarajan et al.),
-    'bytescheduler', 'fusion' (Horovod-style tensor fusion), or 'dear'
-    (decoupled all-reduce phases, collective archs only).  Partition /
-    credit default to each policy's published defaults when omitted.
+    ``kind`` names a row of :data:`SCHEDULERS`: 'fifo' (vanilla
+    framework), 'p3' (Jayarajan et al.), 'bytescheduler', 'fusion'
+    (Horovod-style tensor fusion), or 'dear' (decoupled all-reduce
+    phases, collective archs only).  Partition / credit default to the
+    row's published defaults when omitted; setting a knob the kind does
+    not take is a :class:`ConfigError`.
     """
 
     kind: str = "bytescheduler"
     partition_bytes: Optional[float] = None
     credit_bytes: Optional[float] = None
-    notify_delay: float = 0.0
-    #: 'fusion' only: Horovod fusion-buffer size and cycle time.
-    fusion_bytes: float = 64 * MB
-    cycle_time: float = 0.005
     #: 'dear' only: optional fusion-aware variant — batch adjacent
     #: reduce-scatters up to this many bytes into one phase op.  None
     #: (the default) is pure DeAR: one phase op per tensor, no knobs.
@@ -320,11 +458,14 @@ class SchedulerSpec:
     partition_overrides: Optional[Tuple[Tuple[int, float], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in SCHEDULER_KINDS:
+        if self.kind not in SCHEDULERS:
             raise ConfigError(
                 f"scheduler kind must be {'/'.join(SCHEDULER_KINDS)}, "
                 f"got {self.kind!r}"
             )
+        for knob in (field.name for field in fields(self) if field.name != "kind"):
+            if getattr(self, knob) is not None and knob not in self.row.knobs:
+                raise ConfigError(f"scheduler {self.kind!r} takes no {knob}")
         if self.dear_fusion_bytes is not None and self.dear_fusion_bytes <= 0:
             raise ConfigError("dear_fusion_bytes must be > 0")
         if self.partition_bytes is not None and self.partition_bytes <= 0:
@@ -339,13 +480,14 @@ class SchedulerSpec:
                     )
 
     @property
+    def row(self) -> SchedulerKind:
+        """This kind's entry in :data:`SCHEDULERS`."""
+        return SCHEDULERS[self.kind]
+
+    @property
     def scheduled(self) -> bool:
-        """True for schedulers that need per-layer forward gates
-        (ByteScheduler, P3, DeAR — DeAR's deferred all-gather must block
-        the *next* iteration's per-layer forward, which is exactly the
-        crossing-the-global-barrier machinery); 'fifo' and 'fusion' are
-        vanilla-framework behaviours."""
-        return self.kind in ("p3", "bytescheduler", "dear")
+        """True for kinds that need per-layer forward gates."""
+        return self.row.scheduled
 
     def resolved_partition(
         self,
@@ -353,39 +495,16 @@ class SchedulerSpec:
         largest_tensor_bytes: Optional[float] = None,
         servers: int = 0,
     ) -> Optional[float]:
-        """Partition size after applying per-policy, per-arch defaults.
-
-        The vanilla PS baseline reproduces MXNet's big-array splitting:
-        tensors are sliced at per-server-slice granularity (one key per
-        server), so a 411 MB tensor on 8 servers moves as 51 MB
-        messages — which is why the baseline's duplex pipelining is so
-        coarse.
-        """
+        """Partition size: the explicit knob, else the row's default."""
         if self.partition_bytes is not None:
             return self.partition_bytes
-        if self.kind == "fifo":
-            if arch == "allreduce":
-                return None  # vanilla Horovod/NCCL reduces whole tensors
-            if largest_tensor_bytes and servers:
-                return max(largest_tensor_bytes / servers, float(4 * MB))
-            return float(4 * MB)
-        if self.kind == "p3":
-            return 160 * KB  # P3's published default (§2.3)
-        return 4 * MB
+        return self.row.partition(arch, largest_tensor_bytes, servers)
 
     def resolved_credit(self) -> float:
-        """Credit size after applying per-policy defaults."""
+        """Credit size: the explicit knob, else the row's default."""
         if self.credit_bytes is not None:
             return self.credit_bytes
-        if self.kind == "fifo":
-            return math.inf  # vanilla stacks have no in-flight limit
-        if self.kind == "p3":
-            # P3 stop-and-waits at the scheduler, but ps-lite's ZMQ
-            # sender keeps its pipe non-empty (a couple of messages
-            # buffered below the scheduler), so ~three partitions are
-            # effectively in flight.
-            return 3 * 160 * KB
-        return 4 * self.resolved_partition()
+        return self.row.credit(self.resolved_partition())
 
     def with_knobs(self, partition_bytes: float, credit_bytes: float) -> "SchedulerSpec":
         """This policy with different (partition, credit) values."""

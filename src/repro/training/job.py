@@ -26,8 +26,6 @@ from repro.comm.base import CommBackend
 from repro.core import (
     ByteSchedulerCore,
     CommTask,
-    PRIORITY_FIFO,
-    PRIORITY_LAYER,
     ReadyCountdown,
     make_adapter,
 )
@@ -206,49 +204,25 @@ class TrainingJob:
         """One Core per worker for PS; a single master Core for
         all-reduce (§5)."""
         spec = self.scheduler
-        mode = PRIORITY_LAYER if spec.scheduled else PRIORITY_FIFO
-
-        if spec.kind == "fusion":
-            from repro.errors import ConfigError as _ConfigError
-
-            if not self.backend.is_collective:
-                raise _ConfigError("tensor fusion requires the all-reduce arch")
-            from repro.core.fusion import FusionCore
-
-            master = FusionCore(
-                self.env,
-                self.backend,
-                fusion_bytes=spec.fusion_bytes,
-                cycle_time=spec.cycle_time,
+        row = spec.row
+        if self.cluster.arch not in row.archs:
+            raise ConfigError(
+                f"scheduler {spec.kind!r} requires the "
+                f"{'/'.join(row.archs)} arch"
             )
-            return {worker: master for worker in self.workers}
-
-        if spec.kind == "dear":
-            if not self.backend.is_collective:
-                raise ConfigError("DeAR requires the all-reduce arch")
-            from repro.core.dear import DeARCore
-
-            master = DeARCore(
-                self.env,
-                self.backend,
-                fusion_bytes=spec.dear_fusion_bytes,
-            )
-            return {worker: master for worker in self.workers}
 
         def build(name: str) -> ByteSchedulerCore:
-            return ByteSchedulerCore(
+            return row.core(
                 self.env,
                 self.backend,
-                partition_bytes=spec.resolved_partition(
+                spec,
+                name,
+                spec.resolved_partition(
                     self.cluster.arch,
                     largest_tensor_bytes=self.model.largest_tensor_bytes,
                     servers=self.cluster.servers,
                 ),
-                credit_bytes=spec.resolved_credit(),
-                priority_mode=mode,
-                notify_delay=spec.notify_delay,
-                name=name,
-                partition_overrides=dict(spec.partition_overrides or ()),
+                spec.resolved_credit(),
             )
 
         if self.backend.is_collective:

@@ -231,12 +231,10 @@ class AdaptiveTuner:
             raise TuningError("probe_period must be >= 1")
         if not 0.0 < neighbor_step <= 0.5:
             raise TuningError("neighbor_step must be in (0, 0.5]")
-        if not job.scheduler.scheduled:
-            raise TuningError("adaptive tuning needs a priority scheduler")
-        if job.scheduler.kind == "dear":
+        if not job.scheduler.row.tunable:
             raise TuningError(
-                "DeAR has no partition/credit knobs to tune — that is "
-                "its selling point"
+                f"scheduler {job.scheduler.kind!r} has no partition/credit "
+                "knobs the adaptive tuner may drive"
             )
         self.job = job
         self.space = space or SearchSpace()

@@ -124,12 +124,10 @@ class OnlineTuner:
     ) -> None:
         if segment_iterations < 1:
             raise TuningError("segment_iterations must be >= 1")
-        if not job.scheduler.scheduled:
-            raise TuningError("online tuning needs a priority scheduler")
-        if job.scheduler.kind == "dear":
+        if not job.scheduler.row.tunable:
             raise TuningError(
-                "DeAR has no partition/credit knobs to tune — that is "
-                "its selling point"
+                f"scheduler {job.scheduler.kind!r} has no partition/credit "
+                "knobs the online tuner may drive"
             )
         self.job = job
         self.space = space or SearchSpace()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.comm import DecoupledAllReduceBackend, RingAllReduceBackend
-from repro.core import DeARCore, dear_scheduler
+from repro.core import DeARCore
 from repro.errors import ConfigError, SchedulerError
 from repro.net import Transport
 from repro.sim import Environment
@@ -155,15 +155,6 @@ def test_dear_validation():
         DeARCore(env, backend, fusion_bytes=0)
     with pytest.raises(SchedulerError):
         DeARCore(env, backend, inflight_ops=0)
-
-
-def test_dear_scheduler_factory():
-    env = Environment()
-    backend = make_backend(env)
-    core = dear_scheduler(env, backend, fusion_bytes=8 * MB)
-    assert isinstance(core, DeARCore)
-    assert core.fusion_bytes == 8 * MB
-    assert core.partition_bytes is None  # never splits — no knob
 
 
 def test_dear_end_to_end_in_training_job():

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +135,22 @@ def test_run_rejects_malformed_fault_plan(capsys):
     # the CLI turns it into a clean message instead of a traceback.
     assert "invalid --fault-plan" in captured.err
     assert "clause 2" in captured.err and "warp" in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--scheduler", "dear", "--partition-mb", "1"),
+    ("--scheduler", "bytescheduler", "--dear-fusion-mb", "8"),
+])
+def test_run_rejects_knobs_the_scheduler_ignores(flags):
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "--model", "resnet50",
+         "--machines", "2", "--gpus-per-machine", "1", "--measure", "2",
+         "--arch", "allreduce", "--framework", "pytorch", *flags],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode != 0
+    assert "ConfigError" in result.stderr and "takes no" in result.stderr
 
 
 def test_run_integrity_plan_prints_counters(capsys):

@@ -5,10 +5,21 @@ import math
 import pytest
 
 from repro.comm import PSBackend, RingAllReduceBackend
-from repro.errors import ConfigError
-from repro.models import vgg16
+from repro.core import (
+    PRIORITY_FIFO,
+    PRIORITY_LAYER,
+    ByteSchedulerAdapter,
+    ByteSchedulerCore,
+    DeARCore,
+    FusionCore,
+    VanillaAdapter,
+)
+from repro.errors import ConfigError, TuningError
+from repro.models import custom_model, vgg16
 from repro.sim import Environment
-from repro.training import ClusterSpec, SchedulerSpec
+from repro.training import ClusterSpec, SchedulerSpec, TrainingJob
+from repro.training.cluster import SCHEDULER_KINDS, SCHEDULERS
+from repro.tuning import AdaptiveTuner, OnlineTuner
 from repro.units import KB, MB, gbps
 
 
@@ -113,6 +124,111 @@ def test_scheduler_spec_validation():
         SchedulerSpec(partition_bytes=0)
     with pytest.raises(ConfigError):
         SchedulerSpec(credit_bytes=-1)
+
+
+def test_scheduler_spec_rejects_knobs_its_kind_ignores():
+    for kind in ("fusion", "dear"):
+        for knob in (
+            {"partition_bytes": 1 * MB},
+            {"credit_bytes": 4 * MB},
+            {"partition_overrides": ((0, 1 * MB),)},
+        ):
+            with pytest.raises(ConfigError, match="takes no"):
+                SchedulerSpec(kind=kind, **knob)
+    for kind in SCHEDULER_KINDS:
+        if kind != "dear":
+            with pytest.raises(ConfigError, match="dear_fusion_bytes"):
+                SchedulerSpec(kind=kind, dear_fusion_bytes=8 * MB)
+    SchedulerSpec(kind="dear", dear_fusion_bytes=8 * MB)
+
+
+#: Per kind: core class, priority mode, adapter class, and per valid
+#: arch the (partition, credit) TrainingJob hands the core for
+#: KIND_MODEL on two servers.  Absent archs must raise ConfigError.
+EXPECTED_KINDS = {
+    "fifo": (ByteSchedulerCore, PRIORITY_FIFO, VanillaAdapter, {
+        "ps": (12 * MB, math.inf),  # max(largest / servers, 4 MB)
+        "allreduce": (None, math.inf),
+    }),
+    "p3": (ByteSchedulerCore, PRIORITY_LAYER, ByteSchedulerAdapter, {
+        "ps": (160 * KB, 3 * 160 * KB),
+        "allreduce": (160 * KB, 3 * 160 * KB),
+    }),
+    "bytescheduler": (ByteSchedulerCore, PRIORITY_LAYER, ByteSchedulerAdapter, {
+        "ps": (4 * MB, 16 * MB),
+        "allreduce": (4 * MB, 16 * MB),
+    }),
+    "fusion": (FusionCore, PRIORITY_FIFO, VanillaAdapter, {
+        "allreduce": (None, math.inf),
+    }),
+    "dear": (DeARCore, PRIORITY_FIFO, ByteSchedulerAdapter, {
+        "allreduce": (None, math.inf),
+    }),
+}
+
+KIND_MODEL = custom_model(
+    layer_bytes=[8 * MB, 24 * MB, 4 * MB],
+    fp_times=[0.002] * 3,
+    bp_times=[0.004] * 3,
+    batch_size=16,
+)
+
+
+def _kind_job(kind, arch, **knobs):
+    cluster = ClusterSpec(
+        machines=2, gpus_per_machine=2, arch=arch,
+        framework="pytorch" if arch == "allreduce" else "mxnet",
+    )
+    return TrainingJob(KIND_MODEL, cluster, SchedulerSpec(kind=kind, **knobs))
+
+
+def test_every_scheduler_kind_has_expectations():
+    assert set(EXPECTED_KINDS) == set(SCHEDULER_KINDS) == set(SCHEDULERS)
+
+
+@pytest.mark.parametrize("arch", ["ps", "allreduce"])
+@pytest.mark.parametrize("kind", SCHEDULER_KINDS)
+def test_training_job_builds_the_kind_row(kind, arch):
+    core_class, priority, adapter_class, sizes = EXPECTED_KINDS[kind]
+    if arch not in sizes:
+        with pytest.raises(ConfigError, match="arch"):
+            _kind_job(kind, arch)
+        return
+    job = _kind_job(kind, arch)
+    partition, credit = sizes[arch]
+    cores = set(map(id, job.cores.values()))
+    assert len(cores) == (1 if arch == "allreduce" else len(job.workers))
+    for core in job.cores.values():
+        assert type(core) is core_class
+        assert core.priority_mode == priority
+        assert core.partition_bytes == partition
+        assert core.credit_capacity == credit
+    assert all(type(a) is adapter_class for a in job.adapters.values())
+
+
+def test_explicit_knobs_reach_the_core():
+    job = _kind_job(
+        "bytescheduler", "ps", partition_bytes=2 * MB, credit_bytes=8 * MB,
+        partition_overrides=((1, 1 * MB),),
+    )
+    assert job.master_core.partition_bytes == 2 * MB
+    assert job.master_core.credit_capacity == 8 * MB
+    assert job.master_core.partition_overrides == {1: 1 * MB}
+    dear = _kind_job("dear", "allreduce", dear_fusion_bytes=8 * MB)
+    assert dear.master_core.fusion_bytes == 8 * MB
+
+
+@pytest.mark.parametrize("tuner", [OnlineTuner, AdaptiveTuner])
+def test_tuners_refuse_exactly_the_untunable_kinds(tuner):
+    tunable = {kind for kind in SCHEDULER_KINDS if SCHEDULERS[kind].tunable}
+    assert tunable == {"p3", "bytescheduler"}
+    for kind in SCHEDULER_KINDS:
+        job = _kind_job(kind, "allreduce")
+        if kind in tunable:
+            tuner(job)
+        else:
+            with pytest.raises(TuningError, match="no partition/credit knobs"):
+                tuner(job)
 
 
 def test_with_knobs():
