@@ -17,8 +17,8 @@ Four policies run on every scenario x seed:
   are the healthy-environment argmax) and never touched again;
 * **online** — :class:`~repro.tuning.OnlineTuner`: global BO over
   segment profiles, built for stationary environments;
-* **adaptive** — :class:`~repro.tuning.AdaptiveTuner`: discounted local
-  bandit with Page-Hinkley change-point detection;
+* **adaptive** — :class:`~repro.tuning.AdaptiveTuner`: local lattice
+  tracker with Page-Hinkley change-point detection;
 * **oracle** — re-tuned for free at every drift epoch: the analytic
   zero-regret reference, whose per-epoch rate is the best candidate
   knob's steady-state speed on a *frozen* environment at the epoch's
@@ -50,7 +50,7 @@ from repro.experiments.knobs import tuned_knobs
 from repro.faults import FaultPlan, compose_windows
 from repro.invariants import ChaosOracle
 from repro.training import ClusterSpec, SchedulerSpec
-from repro.tuning import AdaptiveTuner, OnlineTuner, PageHinkley, SearchSpace
+from repro.tuning import AdaptiveTuner, OnlineTuner, SearchSpace
 from repro.units import MB
 
 __all__ = [
@@ -83,14 +83,6 @@ SPACE = SearchSpace(0.25 * MB, 8 * MB, 1 * MB, 32 * MB)
 
 #: One-octave lattice hops for the adaptive tuner (see SPACE).
 NEIGHBOR_STEP = 0.2
-
-#: Drift-sensitised Page-Hinkley settings: the stock threshold is
-#: sized for abrupt shifts, but a diurnal descent loses only a few
-#: percent per control segment and would finish before the stock
-#: detector fires.  The simulator's steady-state profiles are noise-
-#: free, so the tighter slack does not false-alarm when stationary.
-PH_DELTA = 0.01
-PH_THRESHOLD = 0.06
 
 #: Candidate lattice the per-epoch oracle maximises over (byte pairs).
 #: Spans the argmax trajectory measured across rate factors 1.0 -> 0.25
@@ -432,11 +424,9 @@ def _adaptive_policy(
     tuner = AdaptiveTuner(
         job,
         space=SPACE,
-        seed=seed,
         segment_iterations=2,
         restart_penalty=0.0,
         probe_period=3,
-        detector=PageHinkley(delta=PH_DELTA, threshold=PH_THRESHOLD),
         neighbor_step=NEIGHBOR_STEP,
     )
     # The tracker's budget is the wall of time, not a segment count:
@@ -516,9 +506,8 @@ def _determinism_cell(horizon: float, segments: int, knobs) -> DriftCell:
     def digest():
         job = _make_job(knobs, plan_spec, seed=0, oracle=True)
         tuner = AdaptiveTuner(
-            job, space=SPACE, seed=0, segment_iterations=3,
+            job, space=SPACE, segment_iterations=3,
             restart_penalty=0.0, probe_period=2,
-            detector=PageHinkley(delta=PH_DELTA, threshold=PH_THRESHOLD),
             neighbor_step=NEIGHBOR_STEP,
         )
         tuner.run(segments=segments, final_iterations=2)

@@ -340,7 +340,7 @@ def _retune_cell(
     gap = oracle - stale
     meaningful = gap > 0.02 * stale
     recovered = (adaptive - stale) / gap if meaningful else 1.0
-    ok = tuned.change_point_resets >= 1 and (
+    ok = tuned.change_points >= 1 and (
         recovered >= 0.5 if meaningful else adaptive >= 0.95 * stale
     )
     return ElasticCell(
@@ -352,7 +352,7 @@ def _retune_cell(
         detail=(
             f"stale {stale:,.0f} -> adaptive {adaptive:,.0f} "
             f"(oracle {oracle:,.0f}, {recovered * 100:.0f}% of gap, "
-            f"{tuned.change_point_resets} resets)"
+            f"{tuned.change_points} resets)"
         ),
         ok=ok,
     )

@@ -334,7 +334,7 @@ def bench_drift(segments: int = 16) -> Dict[str, Any]:
     from repro.faults import FaultPlan
     from repro.models import custom_model
     from repro.training import ClusterSpec, SchedulerSpec, TrainingJob
-    from repro.tuning import AdaptiveTuner, PageHinkley, SearchSpace
+    from repro.tuning import AdaptiveTuner, SearchSpace
     from repro.units import MB
 
     cluster = ClusterSpec(
@@ -358,10 +358,8 @@ def bench_drift(segments: int = 16) -> Dict[str, Any]:
     tuner = AdaptiveTuner(
         job,
         space=SearchSpace(1 * MB, 8 * MB, 2 * MB, 32 * MB),
-        seed=0,
         segment_iterations=2,
         restart_penalty=0.0,
-        detector=PageHinkley(delta=0.01, threshold=0.06),
     )
     started = time.perf_counter()
     result = tuner.run(segments=segments, final_iterations=2)

@@ -74,7 +74,7 @@ class TrainingJob:
         #: plan scheduled any scale events (set by apply_fault_plan).
         self.membership = None
         #: Accounting dict from the online/adaptive tuner that drove
-        #: this job, if any (set by repro.tuning.record_tuning_stats);
+        #: this job, if any (set by repro.tuning.LiveTuner runs);
         #: surfaced in the RunReport's ``tuning`` section.
         self.tuning_stats = None
         #: Optional :class:`repro.obs.MetricsRegistry`; None keeps every

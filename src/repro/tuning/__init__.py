@@ -1,9 +1,9 @@
 """Auto-tuning of partition and credit sizes (Bayesian Optimization)."""
 
-from repro.tuning.adaptive import AdaptiveTuner, AdaptiveTuningResult, PageHinkley
+from repro.tuning.adaptive import AdaptiveTuner, PageHinkley
 from repro.tuning.autotuner import AutoTuner, TuningResult, simulated_objective
 from repro.tuning.gp import GaussianProcess
-from repro.tuning.online import OnlineTuner, OnlineTuningResult, record_tuning_stats
+from repro.tuning.online import LiveTuner, LiveTuningResult, OnlineTuner
 from repro.tuning.searchers import (
     BayesianOptimizer,
     GridSearch,
@@ -27,12 +27,11 @@ __all__ = [
     "expected_improvement",
     "make_searcher",
     "AdaptiveTuner",
-    "AdaptiveTuningResult",
     "AutoTuner",
+    "LiveTuner",
+    "LiveTuningResult",
     "OnlineTuner",
-    "OnlineTuningResult",
     "PageHinkley",
     "TuningResult",
-    "record_tuning_stats",
     "simulated_objective",
 ]

@@ -1,5 +1,5 @@
-"""Drift-tracking adaptive tuning: a discounted local bandit with
-online change-point detection.
+"""Drift-tracking adaptive tuning: a local lattice tracker with online
+change-point detection.
 
 :class:`~repro.tuning.online.OnlineTuner` re-tunes with BO on segment
 speeds, which is the right tool when the environment is *stationary*:
@@ -12,16 +12,19 @@ instead of re-searching.  :class:`AdaptiveTuner` is that control loop:
 
 * **exploit by default** — train on the incumbent knobs, profiling each
   segment;
-* **discounted statistics** — every observation decays older ones for
-  the same point, so the tuner's beliefs track the moving optimum
-  instead of averaging over epochs;
+* **recency, not averages** — each lattice point keeps only its two
+  latest samples; the latest one plus their local trend gives the
+  incumbent's ``reference`` speed extrapolated to *now*, so beliefs
+  track the moving optimum instead of averaging over epochs;
 * **local probing** — every few segments one neighbour on the log-knob
-  lattice is profiled; an incumbent is only unseated by a neighbour
-  whose *discounted* mean beats it by a margin;
+  lattice is profiled; a probe that beats the incumbent's reference by
+  a margin is confirmed by a bracket (re-observe the incumbent, judge
+  the probe against the baseline interpolated to its moment) before
+  the incumbent moves;
 * **change-point detection** — a CUSUM-style Page-Hinkley test on the
   incumbent's relative speed residuals; when the environment shifts
-  under the incumbent, the tuner resets its discounted model, burns in
-  with PR 8's settling machinery, and re-sweeps the local
+  under the incumbent, the tuner forgets its samples, burns in with
+  the online tuner's settling machinery, and re-sweeps the local
   neighbourhood instead of restarting a global search.
 
 Membership-epoch changes (elastic jobs) are treated as externally
@@ -30,7 +33,6 @@ signalled change points, mirroring the online tuner's reset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TuningError
@@ -38,25 +40,23 @@ from repro.training.job import TrainingJob
 from repro.tuning.online import (
     DEFAULT_RESTART_PENALTY,
     MAX_SETTLE_SEGMENTS,
-    PIPELINE_FLUSH_ITERATIONS,
     SETTLE_TOLERANCE,
-    record_tuning_stats,
+    LiveTuner,
+    LiveTuningResult,
 )
 from repro.tuning.space import Point, SearchSpace
 
-__all__ = ["AdaptiveTuner", "AdaptiveTuningResult", "PageHinkley"]
+__all__ = ["AdaptiveTuner", "PageHinkley"]
 
-#: Discount applied to a point's accumulated evidence per new
-#: observation of that point — beliefs with a half-life of ~1.4
-#: observations, so the tracker forgets a drifted-away epoch quickly.
-DISCOUNT = 0.6
-
-#: Page-Hinkley slack: relative residuals within this band count as
-#: noise, not drift.
-PH_DELTA = 0.02
-
-#: Page-Hinkley alarm threshold on the cumulated relative deviation.
-PH_THRESHOLD = 0.25
+#: Page-Hinkley slack (relative residuals within this band count as
+#: noise, not drift) and alarm threshold on the cumulated relative
+#: deviation.  Drift-sensitised: a threshold sized for abrupt shifts
+#: (0.25) misses a diurnal descent, which loses only a few percent per
+#: control segment and would finish before such a detector fires.  The
+#: simulator's steady-state profiles are noise-free, so the tight slack
+#: does not false-alarm when stationary.
+PH_DELTA = 0.01
+PH_THRESHOLD = 0.06
 
 #: One neighbour probe every this many control segments.
 PROBE_PERIOD = 3
@@ -65,7 +65,7 @@ PROBE_PERIOD = 3
 #: space's unit coordinates (1/6 of the box ≈ 1.5 octaves by default).
 NEIGHBOR_STEP = 1.0 / 6.0
 
-#: A challenger must beat the incumbent's discounted mean by this
+#: A challenger must beat the incumbent's reference speed by this
 #: relative margin to take over — hysteresis against probe noise.
 MOVE_MARGIN = 0.02
 
@@ -148,32 +148,25 @@ class PageHinkley:
 
 
 class _Arm:
-    """Discounted mean of one lattice point's profiled speeds.
+    """The two most recent (time, speed) samples of one lattice point.
 
-    ``mean`` is the tuner's belief (old epochs decay away); ``last`` is
-    the freshest sample, which gates incumbent moves — under drift a
-    same-regime recent pair beats a cross-regime average.  The two most
-    recent (time, speed) samples also yield a local trend, so a probe
-    taken a second later can be judged against where the incumbent's
-    speed *would be now* — comparing against a stale benchmark under a
-    fast descent vetoes every candidate, and under a recovery flatters
-    them all.
+    ``last`` is the freshest sample, which gates incumbent moves — under
+    drift a same-regime recent pair beats a cross-regime average.  The
+    pair also yields a local trend, so a probe taken a second later can
+    be judged against where the incumbent's speed *would be now* —
+    comparing against a stale benchmark under a fast descent vetoes
+    every candidate, and under a recovery flatters them all.
     """
 
-    __slots__ = ("mean", "weight", "last", "last_time", "prev", "prev_time")
+    __slots__ = ("last", "last_time", "prev", "prev_time")
 
     def __init__(self) -> None:
-        self.mean = 0.0
-        self.weight = 0.0
         self.last = 0.0
         self.last_time = 0.0
         self.prev = 0.0
         self.prev_time = 0.0
 
     def observe(self, speed: float, now: float) -> None:
-        decayed = self.weight * DISCOUNT
-        self.mean = (self.mean * decayed + speed) / (decayed + 1.0)
-        self.weight = decayed + 1.0
         if self.last_time > 0.0:
             self.prev, self.prev_time = self.last, self.last_time
         self.last, self.last_time = speed, now
@@ -189,106 +182,32 @@ class _Arm:
         return min(max(estimate, 0.5 * self.last), 1.5 * self.last)
 
 
-@dataclass
-class AdaptiveTuningResult:
-    """Outcome of an adaptive tuning run."""
-
-    best_point: Point
-    final_speed: float
-    #: Change points: Page-Hinkley alarms plus membership epochs.
-    change_points: int = 0
-    reconfigures: int = 0
-    probes: int = 0
-    restart_overhead: float = 0.0
-    segments: List[Tuple[Point, float]] = field(default_factory=list)
-    #: Profiled-segment ledger ``(t_start, t_end, point, speed)``.
-    timeline: List[Tuple[float, float, Point, float]] = field(
-        default_factory=list
-    )
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.segments)
-
-
-class AdaptiveTuner:
+class AdaptiveTuner(LiveTuner):
     """Tracks a moving knob optimum on one live job."""
+
+    name = "adaptive"
 
     def __init__(
         self,
         job: TrainingJob,
         space: Optional[SearchSpace] = None,
-        seed: int = 0,
         segment_iterations: int = 3,
         restart_penalty: float = DEFAULT_RESTART_PENALTY,
         probe_period: int = PROBE_PERIOD,
-        detector: Optional[PageHinkley] = None,
         neighbor_step: float = NEIGHBOR_STEP,
     ) -> None:
-        if segment_iterations < 1:
-            raise TuningError("segment_iterations must be >= 1")
         if probe_period < 1:
             raise TuningError("probe_period must be >= 1")
         if not 0.0 < neighbor_step <= 0.5:
             raise TuningError("neighbor_step must be in (0, 0.5]")
-        if not job.scheduler.row.tunable:
-            raise TuningError(
-                f"scheduler {job.scheduler.kind!r} has no partition/credit "
-                "knobs the adaptive tuner may drive"
-            )
-        self.job = job
-        self.space = space or SearchSpace()
-        self.seed = seed
-        self.segment_iterations = segment_iterations
-        self.restart_penalty = restart_penalty
+        super().__init__(job, space, segment_iterations, restart_penalty)
         self.probe_period = probe_period
-        self.detector = detector or PageHinkley()
+        self.detector = PageHinkley()
         self.neighbor_step = neighbor_step
-        self._needs_restart = job.cluster.arch == "ps"
         self._arms: Dict[Point, _Arm] = {}
         self._neighbor_cursor = 0
-        self._reconfigures = 0
-        self._restart_overhead = 0.0
-        self._last_partition: Optional[float] = None
 
-    # -- small helpers mirrored from OnlineTuner ---------------------------
-
-    def _current_point(self) -> Optional[Point]:
-        core = self.job.master_core
-        partition = getattr(core, "partition_bytes", None)
-        credit = getattr(core, "credit_capacity", None)
-        if partition is None or credit is None:
-            return None
-        return (partition, credit)
-
-    def _train_segment(self, iterations: int) -> bool:
-        """Run ``iterations`` via :meth:`TrainingJob.advance`, which —
-        unlike an extend + drain barrier — leaves trailing communication
-        in flight across segment boundaries.  Draining between short
-        segments would insert a pipeline bubble into every control
-        segment and depress every measurement by the refill cost."""
-        job = self.job
-        if job.membership is not None:
-            before = job.membership.epoch
-            job.advance(iterations)
-            return job.membership.epoch != before
-        job.advance(iterations)
-        return False
-
-    def _reconfigure(self, point: Point) -> None:
-        partition, credit = point
-        if (
-            self._needs_restart
-            and self._last_partition is not None
-            and partition != self._last_partition
-        ):
-            self._restart_overhead += self.restart_penalty
-        self._last_partition = partition
-        self.job.reconfigure(partition_bytes=partition, credit_bytes=credit)
-        self._reconfigures += 1
-        self.job.trace.point(
-            "tuning.reconfigure", f"p={partition:g},c={credit:g}"
-        )
+    # -- lattice helpers ----------------------------------------------------
 
     def _arm(self, point: Point) -> _Arm:
         arm = self._arms.get(point)
@@ -336,7 +255,6 @@ class AdaptiveTuner:
             pairs.append((near, far))
         return pairs
 
-
     def _next_probe(self, incumbent: Point) -> Point:
         """Round-robin over the incumbent's neighbours."""
         neighbors = self._neighbors(incumbent)
@@ -381,27 +299,20 @@ class AdaptiveTuner:
         segments: int = 12,
         final_iterations: int = 4,
         until: Optional[float] = None,
-    ) -> AdaptiveTuningResult:
+    ) -> LiveTuningResult:
         """Drive ``segments`` control rounds, then finish on the
         incumbent knobs and report the final steady speed.  With
         ``until`` set, the loop also stops once simulated time passes
         it — the natural budget for a tracker, whose job is to stay
         live for a wall of time, not for a count of segments."""
-        if segments < 1:
-            raise TuningError("segments must be >= 1")
         job = self.job
-        self._last_partition = getattr(
-            job.master_core, "partition_bytes", None
-        )
-
         # Warm-up, then adopt whatever the job is running as incumbent.
-        self._train_segment(self.segment_iterations + 1)
+        self._start(segments)
         incumbent = self._current_point()
         incumbent = self.space.clip(
             incumbent if incumbent is not None else self.space.from_unit((0.5, 0.5))
         )
         running = incumbent
-        timeline: List[Tuple[float, float, Point, float]] = []
         history: List[Tuple[Point, float]] = []
         change_points = 0
         probes = 0
@@ -424,21 +335,15 @@ class AdaptiveTuner:
             """Flush if the knobs moved, then profile one segment."""
             nonlocal running
             if point != running:
-                self._reconfigure(point)
                 running = point
-                if self._train_segment(PIPELINE_FLUSH_ITERATIONS):
+                if self._switch_to(point):
                     return None, True
-            start = job._built_iterations
-            t0 = job.env.now
-            epoch_changed = self._train_segment(
-                iterations or self.segment_iterations
+            speed, epoch_changed = self._measure(
+                point, iterations or self.segment_iterations
             )
-            if job._built_iterations <= start:
-                return None, epoch_changed
-            speed = job.segment_speed(start, job._built_iterations)
-            timeline.append((t0, job.env.now, point, speed))
-            history.append((point, speed))
-            self._arm(point).observe(speed, job.env.now)
+            if speed is not None:
+                history.append((point, speed))
+                self._arm(point).observe(speed, job.env.now)
             return speed, epoch_changed
 
         def on_change_point(label: str, sweep: bool = True) -> None:
@@ -453,9 +358,9 @@ class AdaptiveTuner:
             self._arms.clear()
             self.detector.reset()
             # Settle at the incumbent: discard segments until two
-            # consecutive speeds agree within tolerance (PR 8's
-            # burn-in), so the re-sweep profiles the new environment,
-            # not the transient.  Membership events pay the full
+            # consecutive speeds agree within tolerance (the online
+            # tuner's burn-in), so the re-sweep profiles the new
+            # environment, not the transient.  Membership events pay the full
             # burn-in (state sync + pipeline refill decay over several
             # iterations); a drift alarm settles at most two segments —
             # a continuously moving environment never stabilises, and
@@ -625,10 +530,10 @@ class AdaptiveTuner:
                 # Strictly local, recency-gated comparison: the probe
                 # just taken against the incumbent's *latest* sample.
                 # A global argmax over arms would let a stale arm —
-                # observed once before the environment moved and never
-                # decayed since — hijack the incumbent; and under a
-                # continuous descent even the incumbent's discounted
-                # mean lags high, vetoing genuinely better neighbours.
+                # observed once before the environment moved — hijack
+                # the incumbent; and under a continuous descent any
+                # average over the incumbent's samples lags high,
+                # vetoing genuinely better neighbours.
                 incumbent_arm = self._arms.get(incumbent)
                 reference = (
                     incumbent_arm.reference(job.env.now)
@@ -728,40 +633,10 @@ class AdaptiveTuner:
         # point whose arm reflects the *current* environment.
         if incumbent != running:
             self._reconfigure(incumbent)
-            running = incumbent
-        self._train_segment(PIPELINE_FLUSH_ITERATIONS)
-        start = job._built_iterations
-        t0 = job.env.now
-        self._train_segment(final_iterations)
-        if job._built_iterations <= start:
-            raise TuningError("job parked before the final measurement")
-        final_speed = job.segment_speed(start, job._built_iterations)
-        timeline.append((t0, job.env.now, incumbent, final_speed))
-        record_tuning_stats(
-            job,
-            "adaptive",
-            reconfigures=self._reconfigures,
+        return self._finish(
+            incumbent,
+            final_iterations,
             change_points=change_points,
-            best_point=incumbent,
-            restart_overhead=self._restart_overhead,
-            timeline=timeline,
-        )
-        return AdaptiveTuningResult(
-            best_point=incumbent,
-            final_speed=final_speed,
-            change_points=change_points,
-            reconfigures=self._reconfigures,
-            probes=probes,
-            restart_overhead=self._restart_overhead,
             segments=history,
-            timeline=timeline,
+            probes=probes,
         )
-
-    def _best_arm(self) -> Optional[Point]:
-        """The point with the highest discounted mean, if any."""
-        best: Optional[Point] = None
-        best_mean = -1.0
-        for point, arm in self._arms.items():
-            if arm.weight > 0 and arm.mean > best_mean:
-                best, best_mean = point, arm.mean
-        return best

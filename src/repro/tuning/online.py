@@ -7,14 +7,19 @@ results".  This module implements that loop on top of a live
 
 1. train a short *segment* of iterations under the current knobs;
 2. measure the segment's speed (the "newly profiled result");
-3. feed it to a searcher (BO by default) and apply its next suggestion
-   via ``Core.reconfigure`` — broadcast by the master, effective from
-   the next iteration's tensors;
+3. feed it to BO and apply its next suggestion via ``Core.reconfigure``
+   — broadcast by the master, effective from the next iteration's
+   tensors;
 4. repeat, then finish training on the best knobs found.
 
 Deployment asymmetry (§5): all-reduce re-tunes live for free; PS
 partition changes need a checkpoint-restart, charged per change so the
 reported tuning overhead is honest.
+
+:class:`LiveTuner` holds the segment, reconfigure and ledger machinery
+that :class:`OnlineTuner` (global BO, for stationary runs) and
+:class:`~repro.tuning.adaptive.AdaptiveTuner` (local tracking, for
+drift) share; each keeps only its search policy.
 """
 
 from __future__ import annotations
@@ -24,10 +29,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import TuningError
 from repro.training.job import TrainingJob
-from repro.tuning.searchers import Searcher, make_searcher
+from repro.tuning.searchers import BayesianOptimizer
 from repro.tuning.space import Point, SearchSpace
 
-__all__ = ["OnlineTuner", "OnlineTuningResult", "record_tuning_stats"]
+__all__ = ["LiveTuner", "LiveTuningResult", "OnlineTuner"]
 
 #: Checkpoint-restart cost for a PS partition change (§5 reports ~5-9 s;
 #: scaled to the short simulated runs this harness drives).
@@ -48,59 +53,24 @@ MAX_SETTLE_SEGMENTS = 6
 PIPELINE_FLUSH_ITERATIONS = 2
 
 
-def record_tuning_stats(
-    job: TrainingJob,
-    tuner: str,
-    *,
-    reconfigures: int,
-    change_points: int,
-    best_point: Point,
-    restart_overhead: float,
-    timeline: List[Tuple[float, float, Point, float]],
-) -> Dict[str, Any]:
-    """Attach a tuner's accounting to the job for RunReport/trace.
-
-    ``timeline`` is the tuner's profiled-segment ledger
-    ``(t_start, t_end, point, speed)`` in simulated time — the raw
-    material for post-hoc regret accounting against an oracle.
-    """
-    stats: Dict[str, Any] = {
-        "tuner": tuner,
-        "reconfigures": reconfigures,
-        "change_points": change_points,
-        "best_partition_bytes": best_point[0],
-        "best_credit_bytes": best_point[1],
-        "restart_overhead": restart_overhead,
-        "profiled_segments": len(timeline),
-        "timeline": [
-            {
-                "start": start,
-                "end": end,
-                "partition_bytes": point[0],
-                "credit_bytes": point[1],
-                "speed": speed,
-            }
-            for start, end, point, speed in timeline
-        ],
-    }
-    job.tuning_stats = stats
-    return stats
-
-
 @dataclass
-class OnlineTuningResult:
-    """Outcome of an online tuning run."""
+class LiveTuningResult:
+    """Outcome of a live tuning run (online or adaptive)."""
 
+    tuner: str
     best_point: Point
-    best_speed: float
     final_speed: float
-    segments: List[Tuple[Point, float]] = field(default_factory=list)
+    #: Membership-epoch resets, plus Page-Hinkley alarms (adaptive).
+    change_points: int = 0
+    reconfigures: int = 0
+    #: Neighbour probes (adaptive; always 0 for online).
+    probes: int = 0
     restart_overhead: float = 0.0
-    #: Searcher resets triggered by membership-epoch changes: stale
-    #: profiles describe a cluster size that no longer exists.
-    change_point_resets: int = 0
+    #: The ``(point, speed)`` samples the search policy acted on.
+    segments: List[Tuple[Point, float]] = field(default_factory=list)
     #: Profiled-segment ledger ``(t_start, t_end, point, speed)`` in
-    #: simulated time — regret accounting integrates against this.
+    #: simulated time — the raw material for post-hoc regret accounting
+    #: against an oracle.
     timeline: List[Tuple[float, float, Point, float]] = field(
         default_factory=list
     )
@@ -109,43 +79,77 @@ class OnlineTuningResult:
     def num_segments(self) -> int:
         return len(self.segments)
 
+    def stats(self) -> Dict[str, Any]:
+        """The accounting dict RunReport's ``tuning`` section carries."""
+        return {
+            "tuner": self.tuner,
+            "reconfigures": self.reconfigures,
+            "change_points": self.change_points,
+            "best_partition_bytes": self.best_point[0],
+            "best_credit_bytes": self.best_point[1],
+            "restart_overhead": self.restart_overhead,
+            "profiled_segments": len(self.timeline),
+            "timeline": [
+                {
+                    "start": start,
+                    "end": end,
+                    "partition_bytes": point[0],
+                    "credit_bytes": point[1],
+                    "speed": speed,
+                }
+                for start, end, point, speed in self.timeline
+            ],
+        }
 
-class OnlineTuner:
-    """Interleaves training segments with knob search on one job."""
+
+class LiveTuner:
+    """Segment, reconfigure and ledger machinery shared by the live
+    tuners; a subclass's ``run`` supplies only the search policy.
+
+    A run is ``_start`` (warm-up), then any mix of ``_switch_to`` /
+    ``_reconfigure`` and ``_measure``, then ``_finish`` on the chosen
+    knobs.  Deployment asymmetry (§5): PS partition changes need a
+    checkpoint-restart, charged per change in ``_reconfigure``;
+    all-reduce re-tunes for free.
+    """
+
+    #: Set by each subclass; recorded as ``job.tuning_stats["tuner"]``.
+    name: str
 
     def __init__(
         self,
         job: TrainingJob,
-        space: Optional[SearchSpace] = None,
-        method: str = "bo",
-        seed: int = 0,
-        segment_iterations: int = 3,
-        restart_penalty: float = DEFAULT_RESTART_PENALTY,
+        space: Optional[SearchSpace],
+        segment_iterations: int,
+        restart_penalty: float,
     ) -> None:
         if segment_iterations < 1:
             raise TuningError("segment_iterations must be >= 1")
         if not job.scheduler.row.tunable:
             raise TuningError(
                 f"scheduler {job.scheduler.kind!r} has no partition/credit "
-                "knobs the online tuner may drive"
+                f"knobs the {self.name} tuner may drive"
             )
         self.job = job
         self.space = space or SearchSpace()
-        self._method = method
-        self._seed = seed
-        self.searcher: Searcher = make_searcher(method, self.space, seed=seed)
         self.segment_iterations = segment_iterations
         self.restart_penalty = restart_penalty
         self._needs_restart = job.cluster.arch == "ps"
-        self._reconfigures = 0
 
-    def _reconfigure(self, partition: float, credit: float) -> None:
-        """Apply knobs and leave a breadcrumb in the job's trace."""
-        self.job.reconfigure(partition_bytes=partition, credit_bytes=credit)
-        self._reconfigures += 1
-        self.job.trace.point(
-            "tuning.reconfigure", f"p={partition:g},c={credit:g}"
+    def _start(self, segments: int) -> bool:
+        """Open the run's ledger and train the warm-up segment under the
+        job's initial knobs; True when a membership epoch landed in it."""
+        if segments < 1:
+            raise TuningError("segments must be >= 1")
+        self.timeline: List[Tuple[float, float, Point, float]] = []
+        self._reconfigures = 0
+        self._restart_overhead = 0.0
+        # Seed from the job's *current* partition so the very first
+        # differing point is charged the PS restart penalty too.
+        self._last_partition: Optional[float] = getattr(
+            self.job.master_core, "partition_bytes", None
         )
+        return self._train_segment(self.segment_iterations + 1)
 
     def _current_point(self) -> Optional[Point]:
         """The knobs the job is running right now, if readable."""
@@ -158,40 +162,125 @@ class OnlineTuner:
 
     def _train_segment(self, iterations: int) -> bool:
         """Run ``iterations`` more; True when a membership epoch landed
-        inside the segment (elastic jobs advance boundary by boundary,
-        fixed-membership jobs extend + drain as before)."""
+        inside.  :meth:`TrainingJob.advance` — unlike an extend + drain
+        barrier — leaves trailing communication in flight across segment
+        boundaries: draining between short segments would insert a
+        pipeline bubble into every control segment and depress every
+        measurement by the refill cost."""
         job = self.job
-        if job.membership is not None:
-            before = job.membership.epoch
-            job.advance(iterations)
-            return job.membership.epoch != before
-        job.extend(iterations)
-        job.drain()
+        before = job.membership.epoch if job.membership is not None else None
+        job.advance(iterations)
+        return job.membership is not None and job.membership.epoch != before
+
+    def _reconfigure(self, point: Point) -> None:
+        """Apply knobs, charge a PS restart if the partition moved, and
+        leave a breadcrumb in the job's trace."""
+        partition, credit = point
+        if (
+            self._needs_restart
+            and self._last_partition is not None
+            and partition != self._last_partition
+        ):
+            self._restart_overhead += self.restart_penalty
+        self._last_partition = partition
+        self.job.reconfigure(partition_bytes=partition, credit_bytes=credit)
+        self._reconfigures += 1
+        self.job.trace.point(
+            "tuning.reconfigure", f"p={partition:g},c={credit:g}"
+        )
+
+    def _switch_to(self, point: Point) -> bool:
+        """Reconfigure, then flush so the next profile measures only the
+        new knobs, not the previous point's in-flight backlog; True when
+        a membership epoch landed in the flush."""
+        self._reconfigure(point)
+        return self._train_segment(PIPELINE_FLUSH_ITERATIONS)
+
+    def _measure(
+        self, point: Point, iterations: int
+    ) -> Tuple[Optional[float], bool]:
+        """Train one segment at ``point`` and add it to the ledger.
+
+        Returns ``(speed, epoch_changed)``; speed is None when the job
+        parked below ``min_workers`` and built no iteration.
+        """
+        job = self.job
+        start = job._built_iterations
+        t0 = job.env.now
+        epoch_changed = self._train_segment(iterations)
+        if job._built_iterations <= start:
+            return None, epoch_changed
+        speed = job.segment_speed(start, job._built_iterations)
+        self.timeline.append((t0, job.env.now, point, speed))
+        return speed, epoch_changed
+
+    def _finish(
+        self,
+        point: Point,
+        final_iterations: int,
+        *,
+        change_points: int,
+        segments: List[Tuple[Point, float]],
+        probes: int = 0,
+    ) -> LiveTuningResult:
+        """Flush, measure the final steady speed on ``point`` (already
+        applied), and record the run's accounting on the job."""
+        self._train_segment(PIPELINE_FLUSH_ITERATIONS)
+        final_speed, _ = self._measure(point, final_iterations)
+        if final_speed is None:
+            raise TuningError("job parked before the final measurement")
+        result = LiveTuningResult(
+            tuner=self.name,
+            best_point=point,
+            final_speed=final_speed,
+            change_points=change_points,
+            reconfigures=self._reconfigures,
+            probes=probes,
+            restart_overhead=self._restart_overhead,
+            segments=segments,
+            timeline=self.timeline,
+        )
+        self.job.tuning_stats = result.stats()
+        return result
+
+
+class OnlineTuner(LiveTuner):
+    """Interleaves training segments with BO knob search on one job."""
+
+    name = "online"
+
+    def __init__(
+        self,
+        job: TrainingJob,
+        space: Optional[SearchSpace] = None,
+        seed: int = 0,
+        segment_iterations: int = 3,
+        restart_penalty: float = DEFAULT_RESTART_PENALTY,
+    ) -> None:
+        super().__init__(job, space, segment_iterations, restart_penalty)
+        self._seed = seed
+        self.searcher = BayesianOptimizer(self.space, seed=seed)
+
+    def _train_segment(self, iterations: int) -> bool:
+        """Fixed-membership jobs extend + drain (elastic jobs advance
+        boundary by boundary, as in the base)."""
+        if self.job.membership is not None:
+            return super()._train_segment(iterations)
+        self.job.extend(iterations)
+        self.job.drain()
         return False
 
-    def run(self, segments: int = 8, final_iterations: int = 4) -> OnlineTuningResult:
+    def run(self, segments: int = 8, final_iterations: int = 4) -> LiveTuningResult:
         """Tune over ``segments`` profiling windows, then finish on the
         best knobs and report the final steady speed."""
-        if segments < 1:
-            raise TuningError("segments must be >= 1")
-        job = self.job
-        # Warm-up segment under the job's initial knobs.
-        epoch_changed = self._train_segment(self.segment_iterations + 1)
-
-        restart_overhead = 0.0
-        change_point_resets = 0
-        # Seed from the job's *current* partition so the very first
-        # differing suggestion is charged the PS restart penalty too.
-        last_partition: Optional[float] = getattr(
-            job.master_core, "partition_bytes", None
-        )
+        epoch_changed = self._start(segments)
+        change_points = 0
         initial_point = self._current_point()
         last_sample: Optional[Tuple[Point, float]] = None
         pending_anchors: List[Point] = []
-        timeline: List[Tuple[float, float, Point, float]] = []
         for _ in range(segments):
             if epoch_changed:
-                job.trace.point("tuning.change_point", "membership-epoch")
+                self.job.trace.point("tuning.change_point", "membership-epoch")
                 # Change-point reset: every profile the searcher holds
                 # was measured on a cluster size that no longer exists,
                 # and old profiles *rank* points wrongly at the new
@@ -199,7 +288,7 @@ class OnlineTuner:
                 # — the knobs running right now and the pre-reset
                 # argmax location — so the fresh search starts from the
                 # best priors instead of from scratch.
-                change_point_resets += 1
+                change_points += 1
                 history = self.searcher.history
                 best_prev = (
                     max(history, key=lambda sample: sample[1])[0]
@@ -217,10 +306,8 @@ class OnlineTuner:
                     clipped = self.space.clip(candidate)
                     if clipped not in anchors:
                         anchors.append(clipped)
-                self.searcher = make_searcher(
-                    self._method,
-                    self.space,
-                    seed=self._seed + change_point_resets,
+                self.searcher = BayesianOptimizer(
+                    self.space, seed=self._seed + change_points
                 )
                 if anchors:
                     # Settle before profiling: right after a scale
@@ -230,31 +317,21 @@ class OnlineTuner:
                     # whichever knobs happen to run later.  Hold the
                     # first anchor and discard segments until the
                     # measured speed stabilises.
-                    partition, credit = anchors[0]
-                    if (
-                        self._needs_restart
-                        and last_partition is not None
-                        and partition != last_partition
-                    ):
-                        restart_overhead += self.restart_penalty
-                    last_partition = partition
-                    self._reconfigure(partition, credit)
+                    self._reconfigure(anchors[0])
                     pending_anchors = anchors
                     previous = None
                     for _settle in range(MAX_SETTLE_SEGMENTS):
-                        start = job._built_iterations
-                        t0 = job.env.now
-                        epoch_changed = self._train_segment(
-                            self.segment_iterations
+                        speed, epoch_changed = self._measure(
+                            anchors[0], self.segment_iterations
                         )
-                        if job._built_iterations <= start or epoch_changed:
+                        if speed is None:
                             break
-                        speed = job.segment_speed(
-                            start, job._built_iterations
-                        )
-                        timeline.append(
-                            (t0, job.env.now, (partition, credit), speed)
-                        )
+                        if epoch_changed:
+                            # Cut short by the next scale event: the
+                            # sample spans two memberships, so it stays
+                            # off the ledger.
+                            self.timeline.pop()
+                            break
                         if (
                             previous is not None
                             and abs(speed - previous)
@@ -264,33 +341,19 @@ class OnlineTuner:
                         previous = speed
                     continue
             if pending_anchors:
-                partition, credit = pending_anchors.pop(0)
+                point = pending_anchors.pop(0)
             else:
-                partition, credit = self.space.clip(self.searcher.suggest())
-            if (
-                self._needs_restart
-                and last_partition is not None
-                and partition != last_partition
-            ):
-                restart_overhead += self.restart_penalty
-            last_partition = partition
-            self._reconfigure(partition, credit)
-            # Flush before profiling so the window measures only the
-            # new knobs, not the previous point's in-flight backlog.
-            epoch_changed = self._train_segment(PIPELINE_FLUSH_ITERATIONS)
+                point = self.space.clip(self.searcher.suggest())
+            epoch_changed = self._switch_to(point)
             if epoch_changed:
                 continue
-            start = job._built_iterations
-            t0 = job.env.now
-            epoch_changed = self._train_segment(self.segment_iterations)
-            if job._built_iterations <= start:
+            speed, epoch_changed = self._measure(point, self.segment_iterations)
+            if speed is None:
                 break  # parked below min_workers: no profile to take
-            speed = job.segment_speed(start, job._built_iterations)
-            timeline.append((t0, job.env.now, (partition, credit), speed))
-            last_sample = ((partition, credit), speed)
+            last_sample = (point, speed)
             if epoch_changed:
                 continue  # segment straddles a scale event: skip it
-            self.searcher.observe((partition, credit), speed)
+            self.searcher.observe(point, speed)
 
         if not self.searcher.history:
             if last_sample is None:
@@ -299,31 +362,11 @@ class OnlineTuner:
                 )
             # Every segment straddled a scale event; keep the freshest.
             self.searcher.observe(*last_sample)
-        best_point, best_speed = self.searcher.best()
-        self._reconfigure(best_point[0], best_point[1])
-        self._train_segment(PIPELINE_FLUSH_ITERATIONS)
-        start = job._built_iterations
-        t0 = job.env.now
-        self._train_segment(final_iterations)
-        if job._built_iterations <= start:
-            raise TuningError("job parked before the final measurement")
-        final_speed = job.segment_speed(start, job._built_iterations)
-        timeline.append((t0, job.env.now, best_point, final_speed))
-        record_tuning_stats(
-            job,
-            "online",
-            reconfigures=self._reconfigures,
-            change_points=change_point_resets,
-            best_point=best_point,
-            restart_overhead=restart_overhead,
-            timeline=timeline,
-        )
-        return OnlineTuningResult(
-            best_point=best_point,
-            best_speed=best_speed,
-            final_speed=final_speed,
+        best_point, _ = self.searcher.best()
+        self._reconfigure(best_point)
+        return self._finish(
+            best_point,
+            final_iterations,
+            change_points=change_points,
             segments=list(self.searcher.history),
-            restart_overhead=restart_overhead,
-            change_point_resets=change_point_resets,
-            timeline=timeline,
         )

@@ -13,7 +13,7 @@ from repro.faults import FaultPlan
 from repro.invariants import ChaosOracle
 from repro.models import custom_model
 from repro.training import ClusterSpec, SchedulerSpec, TrainingJob
-from repro.tuning import AdaptiveTuner, PageHinkley, SearchSpace
+from repro.tuning import AdaptiveTuner, SearchSpace
 from repro.units import MB
 
 
@@ -117,10 +117,8 @@ def _tuned_digest():
     tuner = AdaptiveTuner(
         job,
         space=SearchSpace(1 * MB, 8 * MB, 2 * MB, 32 * MB),
-        seed=0,
         segment_iterations=2,
         restart_penalty=0.0,
-        detector=PageHinkley(delta=0.01, threshold=0.06),
     )
     tuner.run(segments=8, final_iterations=2)
     job.drain()

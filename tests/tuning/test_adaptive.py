@@ -12,7 +12,6 @@ from repro.units import MB
 
 def make_job(
     arch="allreduce",
-    kind="bytescheduler",
     partition=2 * MB,
     credit=4 * MB,
     fault_plan=None,
@@ -28,7 +27,9 @@ def make_job(
         bp_times=[0.004] * 3,
         batch_size=16,
     )
-    spec = SchedulerSpec(kind=kind, partition_bytes=partition, credit_bytes=credit)
+    spec = SchedulerSpec(
+        kind="bytescheduler", partition_bytes=partition, credit_bytes=credit
+    )
     return TrainingJob(
         model, cluster, spec, fault_plan=fault_plan, enable_trace=enable_trace
     )
@@ -95,40 +96,14 @@ def test_page_hinkley_validation():
 
 
 def test_adaptive_tuner_validation():
+    # The shared checks are in test_online.py::test_live_tuner_validation.
     job = make_job()
-    with pytest.raises(TuningError):
-        AdaptiveTuner(job, space=SPACE, segment_iterations=0)
-    with pytest.raises(TuningError):
+    with pytest.raises(TuningError, match="probe_period"):
         AdaptiveTuner(job, space=SPACE, probe_period=0)
-    with pytest.raises(TuningError):
+    with pytest.raises(TuningError, match="neighbor_step"):
         AdaptiveTuner(job, space=SPACE, neighbor_step=0.0)
-    with pytest.raises(TuningError):
+    with pytest.raises(TuningError, match="neighbor_step"):
         AdaptiveTuner(job, space=SPACE, neighbor_step=0.6)
-    tuner = AdaptiveTuner(job, space=SPACE)
-    with pytest.raises(TuningError):
-        tuner.run(segments=0)
-
-
-def test_adaptive_tuner_rejects_fifo_jobs():
-    job = make_job(kind="fifo", partition=4 * MB, credit=16 * MB)
-    with pytest.raises(TuningError):
-        AdaptiveTuner(job, space=SPACE)
-
-
-def test_adaptive_tuner_rejects_dear_jobs():
-    cluster = ClusterSpec(
-        machines=2, gpus_per_machine=2, arch="allreduce", transport="rdma",
-        framework="pytorch", bandwidth_gbps=25,
-    )
-    model = custom_model(
-        layer_bytes=[8 * MB, 24 * MB, 4 * MB],
-        fp_times=[0.002] * 3,
-        bp_times=[0.004] * 3,
-        batch_size=16,
-    )
-    job = TrainingJob(model, cluster, SchedulerSpec(kind="dear"))
-    with pytest.raises(TuningError, match="no partition/credit knobs"):
-        AdaptiveTuner(job, space=SPACE)
 
 
 # -- lattice helpers --------------------------------------------------------
@@ -168,7 +143,7 @@ def test_sweep_pairs_drop_far_points_swallowed_by_the_box_edge():
 
 def test_adaptive_run_records_segments_and_stats():
     job = make_job()
-    tuner = AdaptiveTuner(job, space=SPACE, segment_iterations=2, seed=0)
+    tuner = AdaptiveTuner(job, space=SPACE, segment_iterations=2)
     result = tuner.run(segments=6, final_iterations=3)
     assert result.num_segments >= 6
     assert result.final_speed > 0.0
@@ -186,7 +161,7 @@ def test_adaptive_run_records_segments_and_stats():
 
 def test_adaptive_stationary_run_stays_quiet():
     job = make_job()
-    tuner = AdaptiveTuner(job, space=SPACE, segment_iterations=2, seed=0)
+    tuner = AdaptiveTuner(job, space=SPACE, segment_iterations=2)
     result = tuner.run(segments=10, final_iterations=3)
     # No drift, no alarms: the detector must not cry wolf.
     assert result.change_points == 0
@@ -199,13 +174,7 @@ def test_adaptive_detects_a_step_change():
         fault_plan=FaultPlan.parse("slowlink:m0.both@0.35-1000x0.3"),
         enable_trace=True,
     )
-    tuner = AdaptiveTuner(
-        job,
-        space=SPACE,
-        segment_iterations=2,
-        seed=0,
-        detector=PageHinkley(delta=0.01, threshold=0.06),
-    )
+    tuner = AdaptiveTuner(job, space=SPACE, segment_iterations=2)
     result = tuner.run(segments=16, final_iterations=3)
     assert result.change_points >= 1
     assert result.probes >= 1
@@ -218,7 +187,7 @@ def test_adaptive_detects_a_step_change():
 
 def test_adaptive_until_stops_the_loop_by_simulated_time():
     job = make_job()
-    tuner = AdaptiveTuner(job, space=SPACE, segment_iterations=2, seed=0)
+    tuner = AdaptiveTuner(job, space=SPACE, segment_iterations=2)
     result = tuner.run(segments=500, final_iterations=2, until=0.25)
     # Far fewer than 500 segments fit in a quarter second.
     assert result.num_segments < 100
@@ -227,7 +196,7 @@ def test_adaptive_until_stops_the_loop_by_simulated_time():
 
 def test_adaptive_emits_reconfigure_trace_points():
     job = make_job(partition=1 * MB, credit=2 * MB, enable_trace=True)
-    tuner = AdaptiveTuner(job, space=SPACE, segment_iterations=2, seed=0)
+    tuner = AdaptiveTuner(job, space=SPACE, segment_iterations=2)
     result = tuner.run(segments=8, final_iterations=2)
     if result.reconfigures:
         cats = [cat for _t, cat, _name in job.trace.points]
@@ -245,7 +214,7 @@ def test_adaptive_run_report_carries_the_tuning_section():
     from repro.obs import build_run_report
 
     job = make_job()
-    tuner = AdaptiveTuner(job, space=SPACE, segment_iterations=2, seed=0)
+    tuner = AdaptiveTuner(job, space=SPACE, segment_iterations=2)
     tuner.run(segments=4, final_iterations=2)
     result = job.run(measure=2, warmup=1)
     report = build_run_report(job, result)

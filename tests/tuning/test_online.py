@@ -5,11 +5,11 @@ import pytest
 from repro.errors import SchedulerError, TuningError
 from repro.models import custom_model
 from repro.training import ClusterSpec, SchedulerSpec, TrainingJob
-from repro.tuning import OnlineTuner, SearchSpace
+from repro.tuning import AdaptiveTuner, OnlineTuner, SearchSpace
 from repro.units import MB
 
 
-def make_job(arch="allreduce", kind="bytescheduler", partition=2 * MB, credit=4 * MB):
+def make_job(arch="allreduce", partition=2 * MB, credit=4 * MB):
     cluster = ClusterSpec(
         machines=2, gpus_per_machine=2, arch=arch, transport="rdma",
         framework="mxnet", bandwidth_gbps=25,
@@ -20,7 +20,9 @@ def make_job(arch="allreduce", kind="bytescheduler", partition=2 * MB, credit=4 
         bp_times=[0.004] * 3,
         batch_size=16,
     )
-    spec = SchedulerSpec(kind=kind, partition_bytes=partition, credit_bytes=credit)
+    spec = SchedulerSpec(
+        kind="bytescheduler", partition_bytes=partition, credit_bytes=credit
+    )
     return TrainingJob(model, cluster, spec)
 
 
@@ -33,7 +35,7 @@ def test_online_tuner_improves_bad_initial_knobs():
     result = tuner.run(segments=6, final_iterations=3)
     first_speed = result.segments[0][1]
     assert result.final_speed >= first_speed * 0.95
-    assert result.best_speed >= max(s for _p, s in result.segments) - 1e-9
+    assert result.best_point == max(result.segments, key=lambda s: s[1])[0]
     assert result.num_segments == 6
 
 
@@ -52,36 +54,33 @@ def test_online_tuner_ps_charges_restarts():
     assert result.restart_overhead >= 5.0
 
 
-def test_online_tuner_rejects_fifo_jobs():
-    job = make_job(kind="fifo", partition=4 * MB, credit=16 * MB)
-    with pytest.raises(TuningError):
-        OnlineTuner(job, space=SPACE)
-
-
-def test_online_tuner_rejects_dear_jobs():
-    """DeAR has no partition/credit knobs — tuning it is a caller bug."""
-    cluster = ClusterSpec(
-        machines=2, gpus_per_machine=2, arch="allreduce", transport="rdma",
-        framework="pytorch", bandwidth_gbps=25,
+def test_online_tuner_charges_the_final_move_to_best_point():
+    # Regression: the move onto the best point after the search is a
+    # partition change like any other and pays the PS restart too.
+    job = make_job(arch="ps")
+    tuner = OnlineTuner(
+        job, space=SPACE, segment_iterations=2, restart_penalty=5.0, seed=1
     )
-    model = custom_model(
-        layer_bytes=[8 * MB, 24 * MB, 4 * MB],
-        fp_times=[0.002] * 3,
-        bp_times=[0.004] * 3,
-        batch_size=16,
-    )
-    job = TrainingJob(model, cluster, SchedulerSpec(kind="dear"))
-    with pytest.raises(TuningError, match="no partition/credit knobs"):
-        OnlineTuner(job, space=SPACE)
+    result = tuner.run(segments=5)
+    partitions = [2 * MB] + [
+        entry["partition_bytes"] for entry in job.tuning_stats["timeline"]
+    ]
+    moves = sum(a != b for a, b in zip(partitions, partitions[1:]))
+    # The last profiled point differs from the best one, so the final
+    # move is among the six partition changes.
+    assert partitions[-2] != partitions[-1]
+    assert moves == 6
+    assert result.restart_overhead == pytest.approx(5.0 * moves)
 
 
-def test_online_tuner_validation():
+@pytest.mark.parametrize("tuner", [OnlineTuner, AdaptiveTuner])
+def test_live_tuner_validation(tuner):
     job = make_job()
-    with pytest.raises(TuningError):
-        OnlineTuner(job, space=SPACE, segment_iterations=0)
-    tuner = OnlineTuner(job, space=SPACE)
-    with pytest.raises(TuningError):
-        tuner.run(segments=0)
+    with pytest.raises(TuningError, match="segment_iterations"):
+        tuner(job, space=SPACE, segment_iterations=0)
+    live = tuner(job, space=SPACE)
+    with pytest.raises(TuningError, match="segments must be"):
+        live.run(segments=0)
 
 
 def test_job_reconfigure_applies_to_later_iterations():
@@ -255,7 +254,7 @@ def test_epoch_change_resets_searcher_and_retunes():
     result = tuner.run(segments=6, final_iterations=2)
     # Both scale events matured while tuning ran.
     assert job.membership.epoch == 2
-    assert result.change_point_resets >= 1
+    assert result.change_points >= 1
     # The run still converges to a usable configuration.
     assert result.final_speed > 0
     assert result.segments
@@ -267,4 +266,4 @@ def test_static_job_never_resets():
     job = make_job(arch="allreduce")
     tuner = OnlineTuner(job, space=SPACE, segment_iterations=2)
     result = tuner.run(segments=4)
-    assert result.change_point_resets == 0
+    assert result.change_points == 0
