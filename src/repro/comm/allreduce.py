@@ -30,6 +30,7 @@ from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.net.transport import IntegrityStats, Transport
+from repro.net.windows import degraded_finish
 from repro.sim import Environment, Trace
 from repro.comm.base import ChunkHandle, ChunkSpec, CommBackend, RetryPolicy
 from repro.units import GB, MS, US
@@ -275,8 +276,6 @@ class RingAllReduceBackend(CommBackend):
         ``start``, under the fault plan's degradation windows."""
         if not self._fault_windows:
             return start + work
-        from repro.faults.plan import degraded_finish
-
         return degraded_finish(start, work, self._fault_windows)
 
     def set_integrity(

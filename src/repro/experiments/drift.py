@@ -47,8 +47,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.common import format_table
 from repro.experiments.knobs import tuned_knobs
-from repro.faults import FaultPlan, compose_windows
+from repro.faults import FaultPlan
 from repro.invariants import ChaosOracle
+from repro.net.windows import compose_windows
 from repro.training import ClusterSpec, SchedulerSpec
 from repro.tuning import AdaptiveTuner, OnlineTuner, SearchSpace
 from repro.units import MB

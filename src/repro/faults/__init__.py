@@ -1,11 +1,18 @@
 """Deterministic fault injection for simulated training runs.
 
-Declare *what* goes wrong with a :class:`FaultPlan` (link degradation
-and blackout windows, straggler workers, probabilistic message loss and
-delay), then let :func:`apply_fault_plan` wire it into a built
-:class:`~repro.training.job.TrainingJob`.  Everything runs on the
-deterministic sim kernel from a seeded RNG: the same plan replays the
-same faulted trajectory, byte for byte.
+Declare *what* goes wrong with a :class:`FaultPlan`: link slowdown and
+blackout windows, straggler workers, probabilistic message loss and
+delay, node crashes, corrupt/dup/reorder integrity damage, planned
+join/leave scale events, and continuous drift (diurnal, ramp,
+random-walk and background-tenant curves).  :func:`apply_fault_plan`
+wires the data-plane faults into a built
+:class:`~repro.training.job.TrainingJob`; the job itself stands up the
+recovery and membership control planes for crashes and scale events.
+
+``faults`` is plain data above ``net`` and ``cluster``: the window
+arithmetic the links run on lives in :mod:`repro.net.windows`.
+Everything runs on the deterministic sim kernel from a seeded RNG: the
+same plan replays the same faulted trajectory, byte for byte.
 """
 
 from repro.faults.inject import apply_fault_plan, make_straggler_scale
@@ -18,10 +25,6 @@ from repro.faults.plan import (
     ScaleEvent,
     StragglerFault,
     TransportFault,
-    blackout_time,
-    compose_windows,
-    degraded_finish,
-    merge_windows,
     sample_drift_windows,
 )
 
@@ -36,9 +39,5 @@ __all__ = [
     "TransportFault",
     "apply_fault_plan",
     "make_straggler_scale",
-    "blackout_time",
-    "compose_windows",
-    "degraded_finish",
-    "merge_windows",
     "sample_drift_windows",
 ]

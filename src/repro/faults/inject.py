@@ -9,15 +9,13 @@ The injector is the only piece that knows where each fault kind lands:
 * transport faults wrap the remote links' transport in a
   :class:`~repro.net.transport.FaultyTransport` drawing from the plan's
   seeded RNG;
-* crash faults stand up the recovery control plane — a
-  :class:`~repro.recovery.RecoveryManager` (liveness oracle, heartbeat
-  failure detector, drain/requeue + re-sync choreography) attached to
-  the job as ``job.recovery``;
-* scale events (``join:`` / ``leave:`` clauses) stand up the elastic
-  membership control plane — a
-  :class:`~repro.recovery.MembershipManager` (epoch fencing, ring
-  reform / barrier resize, credit-conserving drain/requeue, min-worker
-  parking) attached to the job as ``job.membership``.
+* integrity faults arm per-link corrupt/dup/reorder injectors (PS) or
+  per-collective draws (all-reduce).
+
+Crash clauses and scale events are not wired here: they drive the
+recovery and membership control planes, which
+:class:`~repro.training.job.TrainingJob` installs itself right after
+this injector runs, so ``faults`` never imports the layers above it.
 
 Injection happens once, after the substrate is built and before any
 iteration is constructed, so a faulted run replays identically.
@@ -26,17 +24,13 @@ iteration is constructed, so a faulted run replays identically.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Iterable, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.net.fabric import Fabric
 from repro.net.transport import FaultyTransport, LinkIntegrityInjector
-from repro.faults.plan import (
-    FaultPlan,
-    compose_windows,
-    merge_windows,
-    sample_drift_windows,
-)
+from repro.faults.plan import FaultPlan, sample_drift_windows
+from repro.net.windows import compose_windows, slowest_windows
 
 #: Knuth multiplicative hash, decorrelating the integrity RNG stream
 #: from the transport-fault stream without str/tuple seeds (which vary
@@ -84,30 +78,21 @@ def _chain_walk_scale(inner, walk_windows):
 
 
 def apply_fault_plan(job: "TrainingJob", plan: FaultPlan) -> None:
-    """Impose ``plan`` on a freshly built :class:`TrainingJob`."""
+    """Impose ``plan``'s data-plane faults on a freshly built
+    :class:`TrainingJob`."""
     if plan.empty:
         return
     rng = random.Random(plan.seed)
 
     # Stragglers: per-worker compute slowdown windows on the engine,
     # with any walk-drift multiplier chained multiplicatively on top.
-    known_workers = set(job.workers)
-    for fault in plan.stragglers:
-        if fault.worker not in known_workers:
-            raise ConfigError(
-                f"fault plan names unknown worker {fault.worker!r}; "
-                f"workers are {sorted(known_workers)}"
-            )
-    for fault in plan.drift:
-        if (
-            fault.kind == "walk"
-            and not fault.direction
-            and fault.node not in known_workers
-        ):
-            raise ConfigError(
-                f"fault plan names unknown worker {fault.node!r}; "
-                f"workers are {sorted(known_workers)}"
-            )
+    _check_known(
+        [fault.worker for fault in plan.stragglers]
+        + [fault.node for fault in plan.drift if fault.compute],
+        sorted(job.workers),
+        "worker",
+        "workers",
+    )
     for worker in job.workers:
         windows = plan.straggler_windows(worker)
         walk = plan.drift_walk_windows(worker)
@@ -117,42 +102,42 @@ def apply_fault_plan(job: "TrainingJob", plan: FaultPlan) -> None:
                 scale = _chain_walk_scale(scale, walk)
             job.engines[worker].compute_scale = scale
 
+    # Every link-level clause must name a node of the substrate.
+    link_nodes = (
+        [fault.node for fault in plan.link_faults]
+        + [fault.node for fault in plan.drift if not fault.compute]
+        + [fault.node for fault in plan.integrity]
+    )
     if job.fabric is not None:
+        _check_known(link_nodes, job.fabric.nodes, "node", "nodes")
         _apply_to_fabric(job.fabric, plan, rng)
     else:
+        nodes = list(job.backend.workers)
+        _check_known(link_nodes, nodes, "node", "all-reduce nodes")
         _apply_to_collective(job.backend, plan, rng)
 
-    if plan.crashes:
-        from repro.recovery import RecoveryManager
 
-        manager = RecoveryManager(job, plan, spec=job.recovery_spec)
-        manager.install()
-        job.recovery = manager
-
-    if plan.scale_events:
-        from repro.recovery import MembershipManager
-
-        membership = MembershipManager(job, plan, spec=job.membership_spec)
-        membership.install()
-        job.membership = membership
+def _check_known(
+    names: Iterable[str], known: Sequence[str], noun: str, listing: str
+) -> None:
+    for name in names:
+        if name not in known:
+            raise ConfigError(
+                f"fault plan names unknown {noun} {name!r}; "
+                f"{listing} are {known}"
+            )
 
 
 def _apply_to_fabric(fabric: Fabric, plan: FaultPlan, rng: random.Random) -> None:
-    """PS path: fault the fabric's links and transports directly."""
-    for fault in plan.link_faults:
-        if fault.node not in fabric.nics:
-            raise ConfigError(
-                f"fault plan names unknown node {fault.node!r}; "
-                f"nodes are {fabric.nodes}"
-            )
-    for fault in plan.drift:
-        if fault.kind == "walk" and not fault.direction:
-            continue  # compute walk: lands on the worker's engine
-        if fault.node not in fabric.nics:
-            raise ConfigError(
-                f"fault plan names unknown node {fault.node!r}; "
-                f"nodes are {fabric.nodes}"
-            )
+    """PS path: fault the fabric's links and transports directly.
+
+    Integrity injectors all share one seeded RNG (draws happen in
+    deterministic FIFO transmit order), one stats block, and the
+    fabric's pending-duplicate set; the delivery guard holds the
+    receiver side of the protocol.
+    """
+    guard = fabric.enable_integrity() if plan.integrity else None
+    integrity_rng = _integrity_rng(plan)
     for node in fabric.nodes:
         nic = fabric.nic(node)
         targets = (
@@ -170,14 +155,26 @@ def _apply_to_fabric(fabric: Fabric, plan: FaultPlan, rng: random.Random) -> Non
             )
             if windows:
                 link.set_fault_windows(windows)
+            if guard is None:
+                continue
+            corrupt = plan.integrity_windows(node, direction, "corrupt")
+            dup = plan.integrity_windows(node, direction, "dup")
+            reorder = plan.integrity_windows(node, direction, "reorder")
+            if corrupt or dup or reorder:
+                link.integrity = LinkIntegrityInjector(
+                    integrity_rng,
+                    guard.stats,
+                    corrupt=corrupt,
+                    dup=dup,
+                    reorder=reorder,
+                    dup_pending=fabric.dup_pending,
+                )
     if plan.transport.active:
         faulty = FaultyTransport(fabric.transport, plan.transport, rng)
         fabric.transport = faulty
         for nic in fabric.nics.values():
             nic.uplink.transport = faulty
             nic.downlink.transport = faulty
-    if plan.integrity:
-        _install_integrity(fabric, plan)
 
 
 def _integrity_rng(plan: FaultPlan) -> random.Random:
@@ -186,77 +183,27 @@ def _integrity_rng(plan: FaultPlan) -> random.Random:
     return random.Random(plan.seed * _INTEGRITY_SEED_SALT % 2**32 + 1)
 
 
-def _install_integrity(fabric: Fabric, plan: FaultPlan) -> None:
-    """Arm per-link injectors and the fabric's delivery guard.
-
-    All injectors share one seeded RNG (draws happen in deterministic
-    FIFO transmit order), one stats block, and the fabric's pending-
-    duplicate set; the guard holds the receiver side of the protocol.
-    """
-    for fault in plan.integrity:
-        if fault.node not in fabric.nics:
-            raise ConfigError(
-                f"fault plan names unknown node {fault.node!r}; "
-                f"nodes are {fabric.nodes}"
-            )
-    guard = fabric.enable_integrity()
-    rng = _integrity_rng(plan)
-    for node in fabric.nodes:
-        targets = (
-            ("up", fabric.nic(node).uplink),
-            ("down", fabric.nic(node).downlink),
-            ("loop", fabric.loopback(node)),
-        )
-        for direction, link in targets:
-            corrupt = plan.integrity_windows(node, direction, "corrupt")
-            dup = plan.integrity_windows(node, direction, "dup")
-            reorder = plan.integrity_windows(node, direction, "reorder")
-            if corrupt or dup or reorder:
-                link.integrity = LinkIntegrityInjector(
-                    rng,
-                    guard.stats,
-                    corrupt=corrupt,
-                    dup=dup,
-                    reorder=reorder,
-                    dup_pending=fabric.dup_pending,
-                )
-
-
 def _apply_to_collective(backend, plan: FaultPlan, rng: random.Random) -> None:
     """All-reduce path: degrade the single collective pipe.
 
     The ring runs at the speed of its slowest hop, so *any* worker
-    node's link fault degrades the whole ring for its window.
+    node's link fault degrades the whole ring for its window; where
+    faults on different links overlap, the lowest factor wins.
     """
-    windows = []
-    for fault in plan.link_faults:
-        if fault.node not in backend.workers:
-            raise ConfigError(
-                f"fault plan names unknown node {fault.node!r}; "
-                f"all-reduce nodes are {list(backend.workers)}"
-            )
-        windows.append((fault.start, fault.end, fault.rate_factor))
-    combined = merge_windows(windows) if windows else ()
+    combined = slowest_windows(
+        window
+        for node in backend.workers
+        for direction in ("up", "down", "loop")
+        for window in plan.link_windows(node, direction)
+    )
     for fault in plan.drift:
-        if fault.kind == "walk" and not fault.direction:
-            continue  # compute walk: worker's engine, not the pipe
-        if fault.node not in backend.workers:
-            raise ConfigError(
-                f"fault plan names unknown node {fault.node!r}; "
-                f"all-reduce nodes are {list(backend.workers)}"
+        if not fault.compute:  # a compute walk lands on the engine
+            combined = compose_windows(
+                combined, sample_drift_windows(fault, plan.seed)
             )
-        combined = compose_windows(
-            combined, sample_drift_windows(fault, plan.seed)
-        )
     if combined:
         backend.set_fault_windows(combined)
     if plan.transport.active and plan.transport.loss_probability > 0:
         backend.set_loss(plan.transport.loss_probability, rng)
     if plan.integrity:
-        for fault in plan.integrity:
-            if fault.node not in backend.workers:
-                raise ConfigError(
-                    f"fault plan names unknown node {fault.node!r}; "
-                    f"all-reduce nodes are {list(backend.workers)}"
-                )
         backend.set_integrity(plan.integrity, _integrity_rng(plan))

@@ -11,7 +11,10 @@ to impose on one simulated training run:
   ops run ``slowdown`` times slower;
 * :class:`TransportFault` — probabilistic per-message loss (modelled as
   retransmissions at the transport layer) and extra delivery delay,
-  drawn from the plan's seeded RNG.
+  drawn from the plan's seeded RNG;
+* :class:`CrashFault`, :class:`IntegrityFault`, :class:`ScaleEvent`
+  and :class:`DriftFault` — node crashes, data-plane damage, planned
+  membership changes and continuous drift (see each class).
 
 Everything is simulated-time and seeded — no wall clock, no global
 randomness — so a faulted run is exactly as deterministic as a healthy
@@ -49,10 +52,14 @@ blackout/busy-time accounting and the chaos oracle keep closing
 unchanged.  All randomness comes from ``seed:`` (plus a per-clause salt),
 so two runs of the same plan drift identically.
 
-Malformed clauses raise :class:`~repro.errors.FaultPlanError` naming
-the clause and its position, and :meth:`FaultPlan.to_spec` emits the
-canonical grammar string so ``parse(plan.to_spec()) == plan`` for any
-grammar-expressible plan.
+Each clause prefix is declared once, in :data:`_CLAUSES`: the plan
+field it fills and its parser.  Every fault class writes its own
+``clause()`` and ``describe()`` text, so :meth:`FaultPlan.parse`,
+:meth:`FaultPlan.to_spec` and :meth:`FaultPlan.describe` are loops over
+that table.  Malformed clauses raise :class:`~repro.errors.FaultPlanError`
+naming the clause and its position, and ``parse(plan.to_spec()) ==
+plan`` for any grammar-expressible plan.  The window arithmetic the
+links run on lives in :mod:`repro.net.windows`.
 """
 
 from __future__ import annotations
@@ -61,9 +68,10 @@ import math
 import random
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigError, FaultPlanError
+from repro.net.windows import compose_windows, merge_windows
 
 __all__ = [
     "CrashFault",
@@ -74,9 +82,6 @@ __all__ = [
     "StragglerFault",
     "TransportFault",
     "FaultPlan",
-    "compose_windows",
-    "degraded_finish",
-    "merge_windows",
     "sample_drift_windows",
 ]
 
@@ -105,6 +110,18 @@ MAX_DRIFT_STEPS = 4096
 _DRIFT_SEED_SALT = 2246822519
 
 
+def _check_window(start: float, end: float, what: str) -> None:
+    if not 0.0 <= start < end:
+        raise ConfigError(f"invalid {what} window [{start!r}, {end!r})")
+
+
+def _check_direction(direction: str, what: str) -> None:
+    if direction not in _DIRECTIONS:
+        raise ConfigError(
+            f"{what} direction must be one of {_DIRECTIONS}, got {direction!r}"
+        )
+
+
 @dataclass(frozen=True)
 class LinkFault:
     """One degradation window on one direction of one node's links."""
@@ -116,21 +133,33 @@ class LinkFault:
     rate_factor: float  # 1.0 = healthy, 0.0 = blackout
 
     def __post_init__(self) -> None:
-        if self.direction not in _DIRECTIONS:
-            raise ConfigError(
-                f"link fault direction must be one of {_DIRECTIONS}, "
-                f"got {self.direction!r}"
-            )
+        _check_direction(self.direction, "link fault")
         if not 0.0 <= self.rate_factor <= 1.0:
             raise ConfigError(
                 f"rate_factor must be in [0, 1], got {self.rate_factor!r}"
             )
-        if not 0.0 <= self.start < self.end:
-            raise ConfigError(
-                f"invalid fault window [{self.start!r}, {self.end!r})"
-            )
+        _check_window(self.start, self.end, "fault")
         if self.rate_factor == 0.0 and math.isinf(self.end):
             raise ConfigError("a blackout window must have a finite end")
+
+    @classmethod
+    def from_clause(cls, kind: str, body: str) -> "LinkFault":
+        target, window = _split_at(body)
+        node, direction = _split_link(target)
+        if kind == "blackout":
+            return cls(node, direction, *_parse_span(window), 0.0)
+        span, factor = _split_value(window, "x", "...x<factor>")
+        return cls(node, direction, *_parse_span(span), float(factor))
+
+    def clause(self) -> str:
+        link = f"{self.node}.{self.direction}@{_span(self)}"
+        if self.rate_factor == 0.0:
+            return f"blackout:{link}"
+        return f"slowlink:{link}x{self.rate_factor:g}"
+
+    def describe(self) -> str:
+        kind = "blackout" if self.rate_factor == 0 else f"x{self.rate_factor:g}"
+        return f"link {self.node}.{self.direction} {kind} {_interval(self)}"
 
 
 @dataclass(frozen=True)
@@ -147,10 +176,20 @@ class StragglerFault:
             raise ConfigError(
                 f"straggler slowdown must be >= 1, got {self.slowdown!r}"
             )
-        if not 0.0 <= self.start < self.end:
-            raise ConfigError(
-                f"invalid straggler window [{self.start!r}, {self.end!r})"
-            )
+        _check_window(self.start, self.end, "straggler")
+
+    @classmethod
+    def from_clause(cls, kind: str, body: str) -> "StragglerFault":
+        worker, window = _split_at(body)
+        span, slowdown = _split_value(window, "x", "...x<factor>")
+        return cls(worker, *_parse_span(span), float(slowdown))
+
+    def clause(self) -> str:
+        span = _span(self)
+        return f"straggler:{self.worker}@{span}x{self.slowdown:g}"
+
+    def describe(self) -> str:
+        return f"straggler {self.worker} x{self.slowdown:g} {_interval(self)}"
 
 
 @dataclass(frozen=True)
@@ -194,6 +233,22 @@ class CrashFault:
             return math.inf
         return self.time + self.restart_delay
 
+    @classmethod
+    def from_clause(cls, kind: str, body: str) -> "CrashFault":
+        node, window = _split_at(body)
+        time_text, sep, delay_text = window.partition("+")
+        if not time_text:
+            raise ConfigError("expected crash:<node>@<t>[+<restart_delay>]")
+        return cls(node, float(time_text), float(delay_text) if sep else None)
+
+    def clause(self) -> str:
+        text = f"crash:{self.node}@{self.time:g}"
+        return text + f"+{self.restart_delay:g}" if self.restarts else text
+
+    def describe(self) -> str:
+        after = f"restart +{self.restart_delay:g}" if self.restarts else "permanent"
+        return f"crash {self.node} @{self.time:g} ({after})"
+
 
 @dataclass(frozen=True)
 class IntegrityFault:
@@ -222,19 +277,28 @@ class IntegrityFault:
                 f"integrity fault kind must be one of {_INTEGRITY_KINDS}, "
                 f"got {self.kind!r}"
             )
-        if self.direction not in _DIRECTIONS:
-            raise ConfigError(
-                f"integrity fault direction must be one of {_DIRECTIONS}, "
-                f"got {self.direction!r}"
-            )
+        _check_direction(self.direction, "integrity fault")
         if not 0.0 < self.rate < 1.0:
             raise ConfigError(
                 f"integrity fault rate must be in (0, 1), got {self.rate!r}"
             )
-        if not 0.0 <= self.start < self.end:
-            raise ConfigError(
-                f"invalid integrity window [{self.start!r}, {self.end!r})"
-            )
+        _check_window(self.start, self.end, "integrity")
+
+    @classmethod
+    def from_clause(cls, kind: str, body: str) -> "IntegrityFault":
+        target, window = _split_at(body)
+        node, direction = _split_link(target)
+        expected = f"{kind}:<node>.<dir>@<start>-<end>%<rate>"
+        span, rate = _split_value(window, "%", expected)
+        return cls(kind, node, direction, *_parse_span(span), float(rate))
+
+    def clause(self) -> str:
+        link = f"{self.node}.{self.direction}"
+        return f"{self.kind}:{link}@{_span(self)}%{self.rate:g}"
+
+    def describe(self) -> str:
+        link = f"{self.node}.{self.direction}"
+        return f"{self.kind} {link} p={self.rate:g} {_interval(self)}"
 
 
 @dataclass(frozen=True)
@@ -264,6 +328,19 @@ class ScaleEvent:
             raise ConfigError(
                 f"scale event time must be finite and >= 0, got {self.time!r}"
             )
+
+    @classmethod
+    def from_clause(cls, kind: str, body: str) -> "ScaleEvent":
+        node, time_text = _split_at(body)
+        if not time_text:
+            raise ConfigError(f"expected {kind}:<node>@<t>")
+        return cls(kind, node, float(time_text))
+
+    def clause(self) -> str:
+        return f"{self.kind}:{self.node}@{self.time:g}"
+
+    def describe(self) -> str:
+        return f"{self.kind} {self.node} @{self.time:g}"
 
 
 @dataclass(frozen=True)
@@ -304,19 +381,10 @@ class DriftFault:
             raise ConfigError(
                 f"drift kind must be one of {_DRIFT_KINDS}, got {self.kind!r}"
             )
-        if self.kind == "walk":
-            if self.direction and self.direction not in _DIRECTIONS:
-                raise ConfigError(
-                    "walk drift targets a bare worker (compute) or "
-                    f"<node>.<{'|'.join(_DIRECTIONS)}> (link), "
-                    f"got direction {self.direction!r}"
-                )
-        elif self.direction not in _DIRECTIONS:
-            raise ConfigError(
-                f"drift direction must be one of {_DIRECTIONS}, "
-                f"got {self.direction!r}"
-            )
-        if not 0.0 <= self.start < self.end or not math.isfinite(self.end):
+        if not self.compute:
+            _check_direction(self.direction, "drift")
+        _check_window(self.start, self.end, "drift")
+        if not math.isfinite(self.end):
             raise ConfigError(
                 f"drift window must be finite: [{self.start!r}, {self.end!r})"
             )
@@ -365,6 +433,11 @@ class DriftFault:
             )
 
     @property
+    def compute(self) -> bool:
+        """True for a walk on a bare worker: it scales compute, not a link."""
+        return self.kind == "walk" and not self.direction
+
+    @property
     def steps(self) -> int:
         """Piecewise-constant steps the sampler will produce."""
         span = self.end - self.start
@@ -374,13 +447,53 @@ class DriftFault:
             return max(1, math.ceil(span / self.period * DRIFT_RESOLUTION))
         return max(1, math.ceil(span / self.period))
 
+    @property
+    def _target(self) -> str:
+        return self.node if self.compute else f"{self.node}.{self.direction}"
+
+    @classmethod
+    def from_clause(cls, kind: str, body: str) -> "DriftFault":
+        """``<kind>:<target>@<start>-<end>[~<period>]x<level>[-<level2>]``."""
+        dkind, sep, rest = body.partition(":")
+        dkind = dkind.strip().lower()
+        if not sep or dkind not in _DRIFT_KINDS:
+            raise ConfigError(
+                f"expected drift:<{'|'.join(_DRIFT_KINDS)}>:<target>@..., "
+                f"got drift:{body!r}"
+            )
+        target, window = _split_at(rest)
+        if dkind == "walk":
+            # A walk target is a bare worker (compute multiplier) or a
+            # <node>.<direction> link (bandwidth walk).
+            node, dot, direction = target.rpartition(".")
+            if not dot or direction not in _DIRECTIONS:
+                node, direction = target, ""
+        else:
+            node, direction = _split_link(target)
+        span_part, sep_x, level_text = window.partition("x")
+        if not sep_x or not level_text:
+            raise ConfigError("expected ...x<level>")
+        span, sep_tilde, period_text = span_part.partition("~")
+        start, end = _parse_span(span)
+        period = float(period_text) if sep_tilde else 0.0
+        a_text, sep_level, b_text = level_text.partition("-")
+        level = float(a_text)
+        if dkind == "ramp":
+            if not sep_level:
+                raise ConfigError("ramp drift needs x<from>-<to>")
+            level2 = float(b_text)
+        elif dkind == "walk":
+            level2 = float(b_text) if sep_level else DEFAULT_WALK_CAP
+        else:
+            if sep_level:
+                raise ConfigError(f"{dkind} drift takes a single x<level>")
+            level2 = 0.0
+        return cls(dkind, node, direction, start, end, period, level, level2)
+
     def clause(self) -> str:
         """The canonical grammar clause for this fault."""
-        if self.kind == "walk" and not self.direction:
-            target = self.node
-        else:
-            target = f"{self.node}.{self.direction}"
-        span = _span(self.start, self.end)
+        target = self._target
+        span = _span(self)
         if self.kind == "diurnal":
             return f"drift:diurnal:{target}@{span}~{self.period:g}x{self.level:g}"
         if self.kind == "ramp":
@@ -391,6 +504,9 @@ class DriftFault:
                 f"x{self.level:g}-{self.level2:g}"
             )
         return f"drift:background:{target}@{span}~{self.period:g}x{self.level:g}"
+
+    def describe(self) -> str:
+        return f"drift {self.kind} {self._target} {_interval(self)}"
 
 
 @dataclass(frozen=True)
@@ -424,6 +540,38 @@ class TransportFault:
     def active(self) -> bool:
         """True if this fault can actually perturb a message."""
         return self.loss_probability > 0 or self.delay_probability > 0
+
+    def with_clause(self, kind: str, body: str) -> "TransportFault":
+        """This fault updated by one ``loss:`` or ``delay:`` clause."""
+        prob, _, value = body.partition("@")
+        if kind == "loss":
+            return replace(
+                self,
+                loss_probability=float(prob),
+                retransmit_penalty=float(value) if value else self.retransmit_penalty,
+            )
+        if not value:
+            raise ConfigError("delay needs a duration, e.g. delay:0.1@0.002")
+        return replace(self, delay_probability=float(prob), delay=float(value))
+
+    def clause(self) -> str:
+        """The ``loss:``/``delay:`` clauses for every grammar field that
+        differs from the default ("" when none does)."""
+        clauses = []
+        penalty = self.retransmit_penalty
+        if self.loss_probability or penalty != TransportFault.retransmit_penalty:
+            clauses.append(f"loss:{self.loss_probability:g}@{penalty:g}")
+        if self.delay_probability or self.delay:
+            clauses.append(f"delay:{self.delay_probability:g}@{self.delay:g}")
+        return ";".join(clauses)
+
+    def describe(self) -> str:
+        parts = []
+        if self.loss_probability:
+            parts.append(f"loss p={self.loss_probability:g}")
+        if self.delay_probability:
+            parts.append(f"delay p={self.delay_probability:g} +{self.delay:g}s")
+        return "; ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -578,7 +726,7 @@ class FaultPlan:
         """
         profile: Tuple[Tuple[float, float, float], ...] = ()
         for fault in self.drift:
-            if fault.kind == "walk" and not fault.direction:
+            if fault.compute:
                 continue
             if fault.node == node and fault.direction in (direction, "both"):
                 profile = compose_windows(
@@ -593,11 +741,7 @@ class FaultPlan:
         from every compute ``walk`` drift clause on one worker."""
         profile: Tuple[Tuple[float, float, float], ...] = ()
         for fault in self.drift:
-            if (
-                fault.kind == "walk"
-                and not fault.direction
-                and fault.node == worker
-            ):
+            if fault.compute and fault.node == worker:
                 profile = compose_windows(
                     profile, sample_drift_windows(fault, self.seed)
                 )
@@ -607,52 +751,15 @@ class FaultPlan:
         """The same schedule drawn from a different RNG stream."""
         return replace(self, seed=seed)
 
+    def _faults(self):
+        """Every fault object, in the clause table's field order."""
+        for name in _FAULT_FIELDS:
+            value = getattr(self, name)
+            yield from value if isinstance(value, tuple) else (value,)
+
     def describe(self) -> str:
         """Human-readable one-line summary (CLI output)."""
-        parts: List[str] = []
-        for fault in self.stragglers:
-            parts.append(
-                f"straggler {fault.worker} x{fault.slowdown:g} "
-                f"[{fault.start:g}, {fault.end:g})"
-            )
-        for fault in self.link_faults:
-            kind = "blackout" if fault.rate_factor == 0 else f"x{fault.rate_factor:g}"
-            parts.append(
-                f"link {fault.node}.{fault.direction} {kind} "
-                f"[{fault.start:g}, {fault.end:g})"
-            )
-        for crash in self.crashes:
-            if crash.restarts:
-                parts.append(
-                    f"crash {crash.node} @{crash.time:g} "
-                    f"(restart +{crash.restart_delay:g})"
-                )
-            else:
-                parts.append(f"crash {crash.node} @{crash.time:g} (permanent)")
-        for fault in self.integrity:
-            parts.append(
-                f"{fault.kind} {fault.node}.{fault.direction} "
-                f"p={fault.rate:g} [{fault.start:g}, {fault.end:g})"
-            )
-        for event in self.scale_timeline:
-            parts.append(f"{event.kind} {event.node} @{event.time:g}")
-        for fault in self.drift:
-            target = (
-                fault.node
-                if not fault.direction
-                else f"{fault.node}.{fault.direction}"
-            )
-            parts.append(
-                f"drift {fault.kind} {target} "
-                f"[{fault.start:g}, {fault.end:g})"
-            )
-        if self.transport.loss_probability:
-            parts.append(f"loss p={self.transport.loss_probability:g}")
-        if self.transport.delay_probability:
-            parts.append(
-                f"delay p={self.transport.delay_probability:g} "
-                f"+{self.transport.delay:g}s"
-            )
+        parts = [text for fault in self._faults() if (text := fault.describe())]
         if not parts:
             return "healthy (no faults)"
         return "; ".join(parts) + f" (seed {self.seed})"
@@ -663,51 +770,10 @@ class FaultPlan:
         """The canonical ``--fault-plan`` grammar string for this plan.
 
         Inverse of :meth:`parse` for every grammar-expressible plan:
-        ``FaultPlan.parse(plan.to_spec()) == plan``.  (Fields the
-        grammar cannot express — a non-default ``max_losses``, a custom
-        retransmit penalty with zero loss — are not emitted.)
+        ``FaultPlan.parse(plan.to_spec()) == plan``.  (A non-default
+        ``max_losses`` is the one field the grammar cannot express.)
         """
-        clauses: List[str] = []
-        for fault in self.stragglers:
-            clauses.append(
-                f"straggler:{fault.worker}@{_span(fault.start, fault.end)}"
-                f"x{fault.slowdown:g}"
-            )
-        for fault in self.link_faults:
-            target = f"{fault.node}.{fault.direction}"
-            if fault.rate_factor == 0.0:
-                clauses.append(
-                    f"blackout:{target}@{_span(fault.start, fault.end)}"
-                )
-            else:
-                clauses.append(
-                    f"slowlink:{target}@{_span(fault.start, fault.end)}"
-                    f"x{fault.rate_factor:g}"
-                )
-        for crash in self.crashes:
-            clause = f"crash:{crash.node}@{crash.time:g}"
-            if crash.restarts:
-                clause += f"+{crash.restart_delay:g}"
-            clauses.append(clause)
-        for fault in self.integrity:
-            clauses.append(
-                f"{fault.kind}:{fault.node}.{fault.direction}"
-                f"@{_span(fault.start, fault.end)}%{fault.rate:g}"
-            )
-        for event in self.scale_timeline:
-            clauses.append(f"{event.kind}:{event.node}@{event.time:g}")
-        for fault in self.drift:
-            clauses.append(fault.clause())
-        if self.transport.loss_probability:
-            clauses.append(
-                f"loss:{self.transport.loss_probability:g}"
-                f"@{self.transport.retransmit_penalty:g}"
-            )
-        if self.transport.delay_probability:
-            clauses.append(
-                f"delay:{self.transport.delay_probability:g}"
-                f"@{self.transport.delay:g}"
-            )
+        clauses = [text for fault in self._faults() if (text := fault.clause())]
         clauses.append(f"seed:{self.seed:d}")
         return ";".join(clauses)
 
@@ -718,14 +784,8 @@ class FaultPlan:
         Malformed clauses raise :class:`~repro.errors.FaultPlanError`
         naming the offending clause and its 1-based position.
         """
-        link_faults: List[LinkFault] = []
-        stragglers: List[StragglerFault] = []
-        crashes: List[CrashFault] = []
-        integrity: List[IntegrityFault] = []
-        scale_events: List[ScaleEvent] = []
-        drift: List[DriftFault] = []
-        transport = TransportFault()
-        seed = 0
+        healthy = cls()
+        values = {name: getattr(healthy, name) for name, _ in _CLAUSES.values()}
         position = 0
         for raw in spec.split(";"):
             clause = raw.strip()
@@ -733,96 +793,16 @@ class FaultPlan:
                 continue
             position += 1
             try:
-                if ":" not in clause:
+                kind, sep, body = clause.partition(":")
+                if not sep:
                     raise ConfigError(
                         "expected <kind>:<body> (e.g. crash:s0@0.2)"
                     )
-                kind, _, body = clause.partition(":")
                 kind = kind.strip().lower()
-                body = body.strip()
-                if kind == "seed":
-                    seed = int(body)
-                elif kind == "straggler":
-                    target, window = _split_at(body)
-                    (start, end), slowdown = _parse_window(window, factor=True)
-                    stragglers.append(
-                        StragglerFault(target, start, end, slowdown)
-                    )
-                elif kind in ("slowlink", "blackout"):
-                    target, window = _split_at(body)
-                    node, direction = _split_link(target)
-                    if kind == "blackout":
-                        start, end = _parse_window(window, factor=False)
-                        link_faults.append(
-                            LinkFault(node, direction, start, end, 0.0)
-                        )
-                    else:
-                        (start, end), factor = _parse_window(window, factor=True)
-                        link_faults.append(
-                            LinkFault(node, direction, start, end, factor)
-                        )
-                elif kind == "crash":
-                    target, window = _split_at(body)
-                    time_text, sep, delay_text = window.partition("+")
-                    if not time_text:
-                        raise ConfigError(
-                            "expected crash:<node>@<t>[+<restart_delay>]"
-                        )
-                    restart_delay = float(delay_text) if sep else None
-                    crashes.append(
-                        CrashFault(target, float(time_text), restart_delay)
-                    )
-                elif kind in _SCALE_KINDS:
-                    target, window = _split_at(body)
-                    if not window:
-                        raise ConfigError(
-                            f"expected {kind}:<node>@<t>"
-                        )
-                    scale_events.append(
-                        ScaleEvent(kind, target, float(window))
-                    )
-                elif kind in _INTEGRITY_KINDS:
-                    target, window = _split_at(body)
-                    node, direction = _split_link(target)
-                    span, sep, rate_text = window.partition("%")
-                    if not sep:
-                        raise ConfigError(
-                            f"expected {kind}:<node>.<dir>@<start>-<end>%<rate>"
-                        )
-                    start, end = _parse_window(span, factor=False)
-                    integrity.append(
-                        IntegrityFault(
-                            kind, node, direction, start, end, float(rate_text)
-                        )
-                    )
-                elif kind == "drift":
-                    drift.append(_parse_drift(body))
-                elif kind == "loss":
-                    prob, _, penalty = body.partition("@")
-                    transport = replace(
-                        transport,
-                        loss_probability=float(prob),
-                        retransmit_penalty=(
-                            float(penalty)
-                            if penalty
-                            else transport.retransmit_penalty
-                        ),
-                    )
-                elif kind == "delay":
-                    prob, _, seconds = body.partition("@")
-                    if not seconds:
-                        raise ConfigError(
-                            "delay needs a duration, e.g. delay:0.1@0.002"
-                        )
-                    transport = replace(
-                        transport,
-                        delay_probability=float(prob),
-                        delay=float(seconds),
-                    )
-                else:
+                if kind not in _CLAUSES:
                     raise ConfigError(f"unknown fault kind {kind!r}")
-            except FaultPlanError:
-                raise
+                name, parse = _CLAUSES[kind]
+                values[name] = parse(values[name], kind, body.strip())
             except (ConfigError, ValueError) as exc:
                 raise FaultPlanError(
                     f"fault plan clause {position} ({clause!r}): {exc}",
@@ -830,65 +810,51 @@ class FaultPlan:
                     position=position,
                 ) from exc
         try:
-            return cls(
-                link_faults=tuple(link_faults),
-                stragglers=tuple(stragglers),
-                transport=transport,
-                crashes=tuple(crashes),
-                integrity=tuple(integrity),
-                scale_events=tuple(scale_events),
-                drift=tuple(drift),
-                seed=seed,
-            )
-        except FaultPlanError:
-            raise
+            return cls(**values)
         except ConfigError as exc:
             raise FaultPlanError(f"fault plan {spec!r}: {exc}") from exc
 
 
-def _span(start: float, end: float) -> str:
-    """Canonical ``<start>-<end>`` text (``inf`` spelled out)."""
-    end_text = "inf" if math.isinf(end) else f"{end:g}"
-    return f"{start:g}-{end_text}"
+def _append(from_clause):
+    """A table parser that adds one parsed fault to a tuple field."""
+    return lambda faults, kind, body: faults + (from_clause(kind, body),)
 
 
-def _parse_drift(body: str) -> DriftFault:
-    """``<kind>:<target>@<start>-<end>[~<period>]x<level>[-<level2>]``."""
-    dkind, sep, rest = body.partition(":")
-    dkind = dkind.strip().lower()
-    if not sep or dkind not in _DRIFT_KINDS:
-        raise ConfigError(
-            f"expected drift:<{'|'.join(_DRIFT_KINDS)}>:<target>@..., "
-            f"got drift:{body!r}"
-        )
-    target, window = _split_at(rest)
-    if dkind == "walk":
-        # A walk target is a bare worker (compute multiplier) or a
-        # <node>.<direction> link (bandwidth walk).
-        node, dot, direction = target.rpartition(".")
-        if not dot or direction not in _DIRECTIONS:
-            node, direction = target, ""
-    else:
-        node, direction = _split_link(target)
-    span_part, sep_x, level_text = window.partition("x")
-    if not sep_x or not level_text:
-        raise ConfigError("expected ...x<level>")
-    span, sep_tilde, period_text = span_part.partition("~")
-    start, end = _parse_window(span, factor=False)
-    period = float(period_text) if sep_tilde else 0.0
-    a_text, sep_level, b_text = level_text.partition("-")
-    level = float(a_text)
-    if dkind == "ramp":
-        if not sep_level:
-            raise ConfigError("ramp drift needs x<from>-<to>")
-        level2 = float(b_text)
-    elif dkind == "walk":
-        level2 = float(b_text) if sep_level else DEFAULT_WALK_CAP
-    else:
-        if sep_level:
-            raise ConfigError(f"{dkind} drift takes a single x<level>")
-        level2 = 0.0
-    return DriftFault(dkind, node, direction, start, end, period, level, level2)
+#: The fault grammar: each clause prefix, the plan field it fills and
+#: its parser ``(current field value, kind, body) -> new value``.  The
+#: fields' first-appearance order is the order ``to_spec`` and
+#: ``describe`` print them in.
+_CLAUSES = {
+    "straggler": ("stragglers", _append(StragglerFault.from_clause)),
+    "slowlink": ("link_faults", _append(LinkFault.from_clause)),
+    "blackout": ("link_faults", _append(LinkFault.from_clause)),
+    "crash": ("crashes", _append(CrashFault.from_clause)),
+    "corrupt": ("integrity", _append(IntegrityFault.from_clause)),
+    "dup": ("integrity", _append(IntegrityFault.from_clause)),
+    "reorder": ("integrity", _append(IntegrityFault.from_clause)),
+    "join": ("scale_events", _append(ScaleEvent.from_clause)),
+    "leave": ("scale_events", _append(ScaleEvent.from_clause)),
+    "drift": ("drift", _append(DriftFault.from_clause)),
+    "loss": ("transport", TransportFault.with_clause),
+    "delay": ("transport", TransportFault.with_clause),
+    "seed": ("seed", lambda seed, kind, body: int(body)),
+}
+
+#: Plan fields holding faults, in print order (``seed`` prints last).
+_FAULT_FIELDS = tuple(
+    dict.fromkeys(name for name, _ in _CLAUSES.values() if name != "seed")
+)
+
+
+def _span(fault) -> str:
+    """A fault's canonical ``<start>-<end>`` text (``inf`` spelled out)."""
+    end_text = "inf" if math.isinf(fault.end) else f"{fault.end:g}"
+    return f"{fault.start:g}-{end_text}"
+
+
+def _interval(fault) -> str:
+    """A fault's ``[<start>, <end>)`` text for :meth:`FaultPlan.describe`."""
+    return f"[{fault.start:g}, {fault.end:g})"
 
 
 def _split_at(body: str) -> Tuple[str, str]:
@@ -905,80 +871,25 @@ def _split_link(target: str) -> Tuple[str, str]:
     return node, direction
 
 
-def _parse_window(window: str, factor: bool):
-    """``<start>-<end>[x<factor>]`` → ((start, end)[, factor])."""
-    if factor:
-        span, sep, value = window.partition("x")
-        if not sep:
-            raise ConfigError("expected ...x<factor>")
-    else:
-        span, value = window, None
+def _split_value(window: str, sep: str, expected: str) -> Tuple[str, str]:
+    """``<span><sep><value>`` → (span, value text)."""
+    span, found, value = window.partition(sep)
+    if not found:
+        raise ConfigError(f"expected {expected}")
+    return span, value
+
+
+def _parse_span(span: str) -> Tuple[float, float]:
+    """``<start>-<end>`` → (start, end); an empty or ``inf`` end is open."""
     start_text, sep, end_text = span.partition("-")
     if not sep:
         raise ConfigError("expected <start>-<end>")
     start = float(start_text)
     end = math.inf if end_text.strip() in ("inf", "") else float(end_text)
-    if factor:
-        return (start, end), float(value)
-    return (start, end)
+    return start, end
 
 
-# -- degraded-rate arithmetic ---------------------------------------------
-
-
-def merge_windows(
-    windows: Sequence[Tuple[float, float, float]],
-) -> Tuple[Tuple[float, float, float], ...]:
-    """Sort windows and check they do not overlap.
-
-    Overlapping degradation windows on the same link would make the
-    effective rate ambiguous; the plan rejects them up front.
-    """
-    ordered = tuple(sorted(windows))
-    for (_s0, e0, _f0), (s1, _e1, _f1) in zip(ordered, ordered[1:]):
-        if s1 < e0:
-            raise ConfigError(
-                f"overlapping fault windows on the same link: "
-                f"{e0!r} > {s1!r}"
-            )
-    return ordered
-
-
-def degraded_finish(
-    start: float,
-    work: float,
-    windows: Sequence[Tuple[float, float, float]],
-) -> float:
-    """When ``work`` seconds of full-rate service finish, starting at
-    ``start``, given ``(win_start, win_end, rate_factor)`` windows.
-
-    Outside every window the link runs at full rate; inside, at
-    ``rate_factor`` of it (0 = total stall).  Windows must be sorted and
-    disjoint (use :func:`merge_windows`).
-    """
-    clock = start
-    remaining = work
-    for win_start, win_end, rate in windows:
-        if win_end <= clock:
-            continue
-        if remaining <= 0:
-            break
-        if win_start > clock:
-            healthy = win_start - clock
-            if remaining <= healthy:
-                return clock + remaining
-            remaining -= healthy
-            clock = win_start
-        span = win_end - clock
-        if rate <= 0.0:
-            clock = win_end  # blackout: time passes, no progress
-        else:
-            capacity = span * rate
-            if remaining <= capacity:
-                return clock + remaining / rate
-            remaining -= capacity
-            clock = win_end
-    return clock + remaining
+# -- drift sampling ---------------------------------------------------------
 
 
 def _drift_rng(fault: DriftFault, seed: int) -> random.Random:
@@ -1046,73 +957,3 @@ def sample_drift_windows(
             share = link_shares([1.0, demand], 1.0, arbitrated=True)[0]
             emit(index, min(1.0, share))
     return tuple(out)
-
-
-def compose_windows(
-    a: Sequence[Tuple[float, float, float]],
-    b: Sequence[Tuple[float, float, float]],
-) -> Tuple[Tuple[float, float, float], ...]:
-    """Overlay two factor profiles, multiplying where they overlap.
-
-    Each input is a sorted, disjoint ``(start, end, factor)`` sequence
-    with factor 1 implied outside its windows; the result is again
-    sorted and disjoint, with factor-1 stretches dropped and adjacent
-    equal-factor windows coalesced.  ``0 × f = 0``, so a static blackout
-    stays a blackout whatever the drift curve does — which is what keeps
-    the busy-time accounting identical on both transmit paths.
-    """
-    a = tuple(a)
-    b = tuple(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    edges: List[float] = sorted(
-        {t for lo, hi, _ in a for t in (lo, hi)}
-        | {t for lo, hi, _ in b for t in (lo, hi)}
-    )
-    out: List[Tuple[float, float, float]] = []
-    ia = ib = 0
-    for lo, hi in zip(edges, edges[1:]):
-        while ia < len(a) and a[ia][1] <= lo:
-            ia += 1
-        while ib < len(b) and b[ib][1] <= lo:
-            ib += 1
-        factor = 1.0
-        if ia < len(a) and a[ia][0] <= lo:
-            factor *= a[ia][2]
-        if ib < len(b) and b[ib][0] <= lo:
-            factor *= b[ib][2]
-        if factor == 1.0:
-            continue
-        if out and out[-1][1] == lo and out[-1][2] == factor:
-            out[-1] = (out[-1][0], hi, factor)
-        else:
-            out.append((lo, hi, factor))
-    return tuple(out)
-
-
-def blackout_time(
-    start: float,
-    end: float,
-    windows: Sequence[Tuple[float, float, float]],
-) -> float:
-    """Seconds of total stall (``rate_factor`` 0) inside ``[start, end]``.
-
-    Degraded-but-moving windows do not count: a link serialising at a
-    fraction of line rate is still *busy*.  A blackout window is not —
-    no bytes move — so utilisation accounting subtracts it from the
-    serialisation interval (the same on both the store-and-forward and
-    cut-through transmit paths).
-    """
-    stalled = 0.0
-    for win_start, win_end, rate in windows:
-        if rate > 0.0:
-            continue
-        if win_start >= end:
-            break
-        lo = win_start if win_start > start else start
-        hi = win_end if win_end < end else end
-        if hi > lo:
-            stalled += hi - lo
-    return stalled

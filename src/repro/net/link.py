@@ -30,6 +30,7 @@ from typing import Callable, Optional, Sequence, Tuple
 from repro.sim import Environment, Trace
 from repro.net.message import Message
 from repro.net.transport import Transport
+from repro.net.windows import blackout_time, degraded_finish
 
 __all__ = ["Link"]
 
@@ -85,7 +86,7 @@ class Link:
         """Impose degradation windows from a fault plan.
 
         ``windows`` are ``(start, end, rate_factor)`` triples, sorted
-        and disjoint (see :func:`repro.faults.plan.merge_windows`);
+        and disjoint (see :func:`repro.net.windows.merge_windows`);
         factor 0 stalls the link for the window.  Passing an empty
         sequence restores the healthy link.
         """
@@ -106,8 +107,6 @@ class Link:
         degradation windows."""
         if not self._fault_windows:
             return start + service
-        from repro.faults.plan import degraded_finish
-
         return degraded_finish(start, service, self._fault_windows)
 
     def _account(self, message: Message, start: float, serialise_end: float) -> None:
@@ -124,8 +123,6 @@ class Link:
         self.messages_sent += 1
         busy = serialise_end - start
         if self._fault_windows:
-            from repro.faults.plan import blackout_time
-
             busy -= blackout_time(start, serialise_end, self._fault_windows)
         self.busy_time += busy
 

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from repro.units import US
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults.plan import TransportFault
     from repro.net.message import Message
 
 __all__ = [
@@ -91,11 +90,12 @@ class FaultyTransport(Transport):
     Delay adds a fixed extra latency to the affected message.  Draws
     come from the injected seeded RNG, so the perturbation sequence is a
     pure function of (seed, message order) — fully deterministic.
+    ``fault`` supplies the five knobs by attribute (``loss_probability``,
+    ``retransmit_penalty``, ``max_losses``, ``delay_probability``,
+    ``delay``); a fault plan passes its ``TransportFault``.
     """
 
-    def __init__(
-        self, inner: Transport, fault: "TransportFault", rng: random.Random
-    ) -> None:
+    def __init__(self, inner: Transport, fault, rng: random.Random) -> None:
         super().__init__(
             name=f"faulty-{inner.name}",
             overhead=inner.overhead,

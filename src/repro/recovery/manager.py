@@ -54,7 +54,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.errors import ConfigError, TransferAbortedError
 from repro.net import Message
-from repro.faults.plan import CrashFault, FaultPlan, merge_windows
+from repro.faults.plan import CrashFault, FaultPlan
+from repro.net.windows import slowest_windows
 from repro.recovery.detector import (
     DEFAULT_MISS_THRESHOLD,
     DEFAULT_PROBE_INTERVAL,
@@ -143,7 +144,7 @@ class RecoveryManager:
 
     def install(self) -> None:
         """Wire every planned crash into the built job (called once by
-        :func:`repro.faults.apply_fault_plan`)."""
+        :class:`~repro.training.job.TrainingJob`)."""
         job = self.job
         for crash in self.plan.crashes:
             self._validate(crash)
@@ -395,7 +396,7 @@ class RecoveryManager:
             # its own compute stalls with it.
             stall = (crash.time, crash.restart_time, 0.0)
             backend.set_fault_windows(
-                merge_windows(tuple(backend._fault_windows) + (stall,))
+                slowest_windows(backend._fault_windows + (stall,))
             )
             self._stall_compute(
                 self.job.engines[crash.node], crash.time, crash.restart_time

@@ -128,7 +128,7 @@ class MembershipManager:
     def install(self) -> None:
         """Validate the plan against the built job and deactivate the
         initially-absent workers (called once by
-        :func:`repro.faults.apply_fault_plan`)."""
+        :class:`~repro.training.job.TrainingJob`)."""
         job = self.job
         known = set(job.workers)
         for event in self._pending:

@@ -60,18 +60,18 @@ class TrainingJob:
         self.scheduler = scheduler
         self.fault_plan = fault_plan
         #: Optional :class:`repro.recovery.RecoverySpec` tuning the
-        #: crash control plane; the injector reads it when the fault
-        #: plan contains crash clauses.
+        #: crash control plane, read when the fault plan contains crash
+        #: clauses.
         self.recovery_spec = recovery_spec
         #: The :class:`repro.recovery.RecoveryManager`, if the fault
-        #: plan scheduled any crashes (set by apply_fault_plan).
+        #: plan scheduled any crashes.
         self.recovery = None
         #: Optional :class:`repro.recovery.MembershipSpec` tuning the
-        #: elastic membership control plane; the injector reads it when
-        #: the fault plan contains join/leave clauses.
+        #: elastic membership control plane, read when the fault plan
+        #: contains join/leave clauses.
         self.membership_spec = membership_spec
         #: The :class:`repro.recovery.MembershipManager`, if the fault
-        #: plan scheduled any scale events (set by apply_fault_plan).
+        #: plan scheduled any scale events.
         self.membership = None
         #: Accounting dict from the online/adaptive tuner that drove
         #: this job, if any (set by repro.tuning.LiveTuner runs);
@@ -156,8 +156,21 @@ class TrainingJob:
             self.fabric.enable_integrity()
         if fault_plan is not None:
             from repro.faults import apply_fault_plan
+            from repro.recovery import MembershipManager, RecoveryManager
 
             apply_fault_plan(self, fault_plan)
+            # The control planes go in after the data-plane faults: a
+            # restart stall overlays the ring windows installed above.
+            if fault_plan.crashes:
+                recovery = RecoveryManager(self, fault_plan, spec=recovery_spec)
+                recovery.install()
+                self.recovery = recovery
+            if fault_plan.scale_events:
+                membership = MembershipManager(
+                    self, fault_plan, spec=membership_spec
+                )
+                membership.install()
+                self.membership = membership
         if oracle is not None:
             oracle.install(self)
         if metrics is not None:

@@ -197,7 +197,7 @@ class FaultedAuditingBackend(AuditingBackend):
             self.ledger_violations.append((self.env.now, core.credit))
 
     def start_chunk(self, chunk):
-        from repro.faults import degraded_finish
+        from repro.net.windows import degraded_finish
 
         self.audit()
         self.inflight_bytes += chunk.size

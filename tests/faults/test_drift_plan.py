@@ -10,14 +10,13 @@ including the factor-0 invariant that keeps busy-time accounting
 identical on both transmit paths.
 """
 
-import math
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, FaultPlanError
-from repro.faults import FaultPlan, compose_windows, sample_drift_windows
+from repro.faults import FaultPlan, sample_drift_windows
 from repro.faults.plan import (
     DEFAULT_WALK_CAP,
     DRIFT_RESOLUTION,
@@ -25,6 +24,7 @@ from repro.faults.plan import (
     DriftFault,
 )
 from repro.net import Link, Message, Transport
+from repro.net.windows import compose_windows
 from repro.sim import Environment
 from repro.training import ClusterSpec, SchedulerSpec, TrainingJob
 from repro.training.runner import resolve_model
@@ -266,18 +266,6 @@ def test_sampled_windows_are_sorted_disjoint_and_cover_the_span():
 
 
 # -- composition with static faults (S2) -----------------------------------
-
-
-def test_compose_multiplies_on_overlap_and_preserves_blackouts():
-    drift = ((0.0, 4.0, 0.5),)
-    static = ((1.0, 2.0, 0.5), (3.0, 5.0, 0.0))
-    composed = compose_windows(static, drift)
-    assert composed == (
-        (0.0, 1.0, 0.5),
-        (1.0, 2.0, 0.25),
-        (2.0, 3.0, 0.5),
-        (3.0, 5.0, 0.0),  # 0 x f = 0: the blackout survives the drift
-    )
 
 
 def test_drift_composes_with_slowlink_on_the_fabric_link():

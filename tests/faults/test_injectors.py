@@ -107,3 +107,23 @@ def test_straggler_slows_the_run():
         fault_plan=FaultPlan.parse("straggler:w0@0.0-infx2")
     ).run(measure=2).speed
     assert slowed < healthy
+
+
+@pytest.mark.parametrize(
+    "spec, windows",
+    [
+        # Different links of the ring overlap: the slowest hop wins.
+        (
+            "slowlink:m0.up@0-1x0.5;slowlink:m1.down@0.5-1.5x0.5",
+            ((0.0, 1.5, 0.5),),
+        ),
+        # A restart stall overlays another member's slow window.
+        (
+            "crash:m0@0.1+0.05;slowlink:m1.up@0-1x0.5",
+            ((0.0, 0.1, 0.5), (0.1, 0.1 + 0.05, 0.0), (0.1 + 0.05, 1.0, 0.5)),
+        ),
+    ],
+)
+def test_allreduce_overlapping_windows_on_different_members(spec, windows):
+    job = make_job(arch="allreduce", fault_plan=FaultPlan.parse(spec))
+    assert job.backend._fault_windows == windows

@@ -10,8 +10,6 @@ from repro.faults import (
     LinkFault,
     StragglerFault,
     TransportFault,
-    degraded_finish,
-    merge_windows,
 )
 
 
@@ -116,14 +114,22 @@ def test_transport_fault_validation():
     assert TransportFault(delay_probability=0.1, delay=0.01).active
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "loss:0@0.001;seed:0",
+        "delay:0@0.001;seed:0",
+        "straggler:w0@0-0.5x3;slowlink:w1.up@0.1-0.3x0.25;"
+        "blackout:s0.down@0.2-0.25;loss:0.02@0.001;delay:0.1@0.002;seed:7",
+    ],
+)
+def test_transport_clauses_round_trip(spec):
+    plan = FaultPlan.parse(spec)
+    assert plan.to_spec() == spec
+    assert FaultPlan.parse(plan.to_spec()) == plan
+
+
 # -- window arithmetic -----------------------------------------------------
-
-
-def test_merge_windows_sorts_and_rejects_overlap():
-    merged = merge_windows([(0.5, 0.6, 0.1), (0.0, 0.2, 0.5)])
-    assert merged == ((0.0, 0.2, 0.5), (0.5, 0.6, 0.1))
-    with pytest.raises(ConfigError):
-        merge_windows([(0.0, 0.3, 0.5), (0.2, 0.4, 0.1)])
 
 
 def test_link_windows_filters_by_node_and_direction():
@@ -136,37 +142,6 @@ def test_link_windows_filters_by_node_and_direction():
     assert plan.link_windows("w1", "up") == ((0.2, 0.3, 0.25),)
     assert plan.link_windows("w1", "down") == ((0.2, 0.3, 0.25),)
     assert plan.link_windows("w9", "up") == ()
-
-
-def test_degraded_finish_healthy_path():
-    assert degraded_finish(1.0, 2.0, ()) == pytest.approx(3.0)
-    # Window entirely in the past: no effect.
-    assert degraded_finish(1.0, 2.0, ((0.0, 0.5, 0.0),)) == pytest.approx(3.0)
-    # Work finishes before the window opens.
-    assert degraded_finish(0.0, 1.0, ((2.0, 3.0, 0.0),)) == pytest.approx(1.0)
-
-
-def test_degraded_finish_half_rate_window():
-    # 1s of work starting at 0; [0, 2) runs at half rate -> done at 2.
-    assert degraded_finish(0.0, 1.0, ((0.0, 2.0, 0.5),)) == pytest.approx(2.0)
-    # Window ends mid-work: 0.5s served in [0,1) at half rate, rest after.
-    assert degraded_finish(0.0, 1.0, ((0.0, 1.0, 0.5),)) == pytest.approx(1.5)
-
-
-def test_degraded_finish_blackout_stalls():
-    assert degraded_finish(0.0, 1.0, ((0.0, 5.0, 0.0),)) == pytest.approx(6.0)
-    # Start mid-blackout.
-    assert degraded_finish(2.0, 1.0, ((0.0, 5.0, 0.0),)) == pytest.approx(6.0)
-
-
-def test_degraded_finish_chains_multiple_windows():
-    windows = ((0.0, 1.0, 0.5), (2.0, 3.0, 0.0))
-    # 2s of work: 0.5 done in [0,1), 1.0 done in [1,2), stall to 3, rest.
-    assert degraded_finish(0.0, 2.0, windows) == pytest.approx(3.5)
-
-
-def test_degraded_finish_zero_work():
-    assert degraded_finish(1.0, 0.0, ((0.0, 5.0, 0.5),)) == pytest.approx(1.0)
 
 
 # -- elastic scale events ---------------------------------------------------
